@@ -21,11 +21,14 @@ mostly, but not entirely, replaces.
 Two execution engines share this module (``ObfuscationParams.engine``):
 
 * ``"array"`` (default) — candidate sets are built by vectorised
-  toggling over pair codes (:func:`_build_candidate_codes`), the
-  Definition-2 check runs on the incremental posterior engine
-  (:class:`repro.core.posterior_batch.IncrementalDegreePosterior`), and
-  all σ-independent setup is hoisted into a :class:`SearchContext`
-  shared across the probes of Algorithm 1's binary search.
+  toggling over pair codes (:func:`_build_candidate_codes`), and all
+  σ-independent setup is hoisted into a :class:`SearchContext` shared
+  across the probes of Algorithm 1's binary search.  Under the default
+  ``pair_keyed`` stream the Definition-2 check evaluates all of a
+  probe's attempts in one stacked pass
+  (:func:`_generate_pair_keyed_array`); under ``stream="attempt"`` it
+  runs per attempt on the incremental posterior engine
+  (:class:`repro.core.posterior_batch.IncrementalDegreePosterior`).
 * ``"sequential"`` — the original per-draw Python loop, kept as pinned
   ground truth.
 
@@ -44,9 +47,10 @@ Orthogonally, ``ObfuscationParams.stream`` selects where the
   candidate-set-independent Eq. 7 normaliser
   (:func:`repro.core.uniqueness.redistribute_sigma_invariant`), so a
   pair's probability is a pure function of ``(key, pair code, σ)``:
-  pairs shared between attempts keep bit-equal probabilities and the
-  incremental posterior serves their rows from cache or by
-  fold-out/fold-in instead of re-running the Lemma-1 DP.
+  pairs shared between attempts keep bit-equal probabilities, and the
+  array engine serves most rows from per-probe base rows plus a
+  fold-in of each attempt's additions instead of re-running the
+  Lemma-1 DP.
 * ``"attempt"`` — the historical mode: every attempt redraws all pairs
   from the shared sequential stream (rejection sampling, empirical
   Eq. 7 normaliser).  Bit-identical to the pre-substream engine at a
@@ -120,11 +124,11 @@ _MAX_DRAW_FACTOR = 200
 # the batch; the np.unique fallback guards vertex counts large enough
 # for the shifted codes to overflow int64.)
 
-# Candidate-churn accounting (repro.obs).  The registry is the
-# authoritative feed for aggregate run totals — search.py derives
-# ObfuscationResult counters from registry deltas rather than
-# re-threading them through GenerationOutcome — while the outcome
-# fields stay populated for per-call consumers.
+# Candidate-churn accounting (repro.obs).  The registry receives every
+# Algorithm-2 call's totals for manifests and ``repro trace``.
+# search.py does not read it back: it sums ObfuscationResult counters
+# from each probe's GenerationOutcome, because registry deltas would
+# absorb concurrent searches' work.
 _GEN_PAIRS_DRAWN = _OBS.counter("generate.pairs_drawn")
 _GEN_ATTEMPTS = _OBS.counter("generate.attempts_made")
 _GEN_ROWS_FOLDED = _OBS.counter("generate.rows_folded")
@@ -157,10 +161,16 @@ class WeightedVertexSampler:
     same CDF once per Q distribution plus a power-of-two lookup table
     over ``[0, 1)``: because ``u·T`` and ``t/T`` are exact binary
     scalings, ``lut[t] = #{i: cdf_i ≤ t/T}`` *equals* the searchsorted
-    result at every cell boundary, so a draw resolves with one gather
-    and (typically zero) monotone refinement jumps.  Outputs and RNG
+    result at every cell boundary, so a draw starts from one gather and
+    finishes with monotone refinement jumps, one per distinct CDF value
+    it passes inside its cell.  That count depends on how densely the
+    distribution packs its cell: about one value per cell at a few
+    thousand vertices, but Q ∝ uniqueness at n ≈ 45k puts up to ~67
+    distinct values in one cell, so a batch can take ~60 refinement
+    passes.  Each pass re-tests only the draws still unresolved, so a
+    pass costs what is left, not the whole batch.  Outputs and RNG
     state are bit-identical to ``rng.choice`` — historical streams are
-    preserved, which the sampler equivalence test pins.
+    preserved, which the sampler equivalence tests pin.
     """
 
     _TABLE_BITS = 14
@@ -188,11 +198,14 @@ class WeightedVertexSampler:
         u = rng.random(size)
         cdf = self._cdf
         idx = self._lut[(u * self._T).astype(np.int64)]
-        while True:
-            advance = np.flatnonzero(cdf[idx] <= u)
-            if not advance.size:
-                return idx
-            idx[advance] = self._next_distinct[idx[advance]]
+        # A resolved draw (cdf[idx] > u) never moves again, so each pass
+        # jumps and re-tests only the draws that are still pending.
+        pending = np.flatnonzero(cdf[idx] <= u)
+        while pending.size:
+            jumped = self._next_distinct[idx[pending]]
+            idx[pending] = jumped
+            pending = pending[cdf[jumped] <= u[pending]]
+        return idx
 
 
 class CandidateStallError(RuntimeError):
@@ -736,18 +749,28 @@ def _column_entropies_split(
     :func:`repro.core.obfuscation_check.column_mass_stack` reduction.
     Exact rows cannot reach degrees at or beyond the cap, so columns
     there draw from the CLT rows alone.
+
+    ``extra_rows`` ascend (stacked row ids ``attempt·n + v``), so each
+    attempt's CLT rows form one block.  Each block is added onto its
+    attempt's exact-side mass one row at a time, in row order, so the
+    rounding is that of a scatter-add over the rows (``np.add.at``,
+    which the tests pin it against bit for bit).
     """
     totals, sums = column_mass_stack(
         Xf.reshape(t_eff, n, Xf.shape[1]), omegas
     )
     if len(extra_rows):
-        ecols = extra[:, omegas]
+        # Row-major, the layout the row-order merge below reads.
+        ecols = np.take(extra, omegas, axis=1)
         eplogp = np.zeros_like(ecols)
         np.log2(ecols, out=eplogp, where=ecols > 0.0)
         eplogp *= ecols
-        att = extra_rows // n
-        np.add.at(totals, att, ecols)
-        np.add.at(sums, att, eplogp)
+        bounds = np.searchsorted(extra_rows, np.arange(t_eff + 1) * n)
+        for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for mass, rows in ((totals, ecols), (sums, eplogp)):
+                # cumsum down axis 0 is a sequential running sum.
+                run = np.vstack((mass[a], rows[lo:hi]))
+                mass[a] = np.cumsum(run, axis=0)[-1]
     return entropies_from_column_mass(totals, sums)
 
 

@@ -14,12 +14,14 @@ import pytest
 
 from repro.core.generate import (
     CandidateStallError,
+    SearchContext,
     WeightedVertexSampler,
     _build_candidate_codes,
     _build_candidate_set,
     _merge_sorted_disjoint,
     _sorted_contains,
 )
+from repro.graphs.datasets import paper_scale_dataset
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
 from repro.graphs.graph import Graph
 
@@ -79,6 +81,36 @@ class TestWeightedVertexSampler:
             sampler.sample(r_sampler, 4096),
             r_choice.choice(300, size=4096, p=probs, replace=True),
         )
+
+
+@pytest.fixture(scope="module")
+def search_scale_context() -> SearchContext:
+    """The σ search's context at n = 45,283, where Q ∝ uniqueness packs
+    dozens of distinct CDF values into one lookup-table cell."""
+    graph = paper_scale_dataset("dblp", scale=0.2, seed=0)
+    return SearchContext(graph, eps=1e-3)
+
+
+class TestWeightedVertexSamplerSearchScale:
+    """The refinement loop at the size the σ search runs it."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0])
+    def test_bit_identical_to_choice(self, search_scale_context, sigma, seed):
+        probs = search_scale_context.sigma_setup(sigma).q_probs
+        # H supplies runs of zero-probability (tied) CDF values.
+        assert (probs == 0.0).any()
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        cells = np.ceil(np.unique(cdf) * (1 << WeightedVertexSampler._TABLE_BITS))
+        assert np.bincount(cells.astype(np.int64)).max() >= 40
+        size = 2 * 8 * 8192  # the largest batch a candidate build draws
+        r_choice = np.random.default_rng(seed)
+        r_sampler = np.random.default_rng(seed)
+        expected = r_choice.choice(len(probs), size=size, p=probs, replace=True)
+        got = WeightedVertexSampler(probs).sample(r_sampler, size)
+        np.testing.assert_array_equal(got, expected)
+        assert r_choice.bit_generator.state == r_sampler.bit_generator.state
 
 
 class TestSortedSetHelpers:

@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.obfuscation_check import DegreePosterior, column_entropies_stack
+from repro.core.obfuscation_check import (
+    DegreePosterior,
+    column_mass_stack,
+    entropies_from_column_mass,
+)
 from repro.core.posterior_batch import (
     fold_in_bernoulli,
     fold_in_staircase,
@@ -138,22 +142,27 @@ class TestFoldInStaircase:
         assert np.abs(out - oracle).max() <= 1e-12
 
 
+def _stack_entropies(stack: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The stacked Definition-2 entropies, as the probe path forms them."""
+    return entropies_from_column_mass(*column_mass_stack(stack, omegas))
+
+
 class TestColumnEntropiesStack:
     def test_matches_per_attempt_evaluation(self, rng):
         stack = rng.random((3, 50, 20))
         omegas = np.array([0, 3, 7, 19, 25, -1])
-        batched = column_entropies_stack(stack, omegas)
+        batched = _stack_entropies(stack, omegas)
         for a in range(3):
             expected = DegreePosterior(stack[a]).column_entropies(omegas)
-            np.testing.assert_allclose(batched[a], expected, atol=1e-12)
+            np.testing.assert_array_equal(batched[a], expected)
 
     def test_zero_mass_columns_are_zero(self):
         stack = np.zeros((2, 10, 5))
         stack[:, :, 1] = 0.1
-        out = column_entropies_stack(stack, np.array([0, 1]))
+        out = _stack_entropies(stack, np.array([0, 1]))
         assert (out[:, 0] == 0.0).all()
         assert (out[:, 1] > 0.0).all()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="3-D"):
-            column_entropies_stack(np.zeros((4, 5)), np.array([0]))
+            column_mass_stack(np.zeros((4, 5)), np.array([0]))
