@@ -1,11 +1,11 @@
 """Array-native vs sequential Algorithm-1 search on the dblp surrogate.
 
 The PR-4 perf claim: the array engine (vectorised candidate toggling,
-incremental posterior, probe-level ``SearchContext`` reuse) must run a
-full Table-2-style ``obfuscate`` grid ≥2× faster end-to-end (measured
-~3×) than the retained sequential ground-truth engine on the dblp
-surrogate (n ≈ 2k), while producing the *identical* search trace,
-candidate sets and released graph at every seed.
+the batched base/fold posterior, probe-level ``SearchContext`` reuse)
+must run a full Table-2-style ``obfuscate`` grid ≥2× faster end-to-end
+than the retained sequential ground-truth engine on the dblp surrogate
+(n ≈ 2k), while producing the *identical* search trace, candidate sets
+and released graph at every seed.
 
 ``test_obfuscation_search_equivalence`` pins the identity (it is the CI
 smoke job); ``test_obfuscation_search_speedup`` times the grid after a
@@ -16,25 +16,11 @@ and ε ∈ {1e-3, 1e-4}, with ε rescaled by ``scaled_eps`` to preserve the
 tolerated-vertex *count* on the smaller surrogate (the harness's one
 documented adaptation).
 
-PR 5 adds the **perturbation-stream** comparison: the default
-``stream="pair_keyed"`` derives every pair's draw from a counter-based
-substream and carries the Definition-2 check on the base/fold posterior
-(one cached edge-DP per probe, per-attempt additions folded in, all
-attempts evaluated in one stacked pass), while ``stream="attempt"`` is
-the PR-4 ground truth.  ``test_stream_definition2_equivalence`` pins
-outcome equivalence (same success, σ* within one doubling bracket) and
-the ≥80% fold-path coverage; ``test_substream_speedup`` measures the
-grid under both streams at the harness t = 3 and the paper's t = 5 and
-writes ``benchmarks/results/substream_speedup.csv``.
-
-Measured honestly: the fold path serves ~95% of posterior rows, but the
-candidate *additions* (~half of all pair entries at c = 2) are redrawn
-every attempt by Algorithm 2 itself, so the incremental DP's arithmetic
-is bounded below by the churn and the end-to-end win over the PR-4
-array engine is modest — ~1.0–1.1× at t = 3 and ~1.15–1.3× at t = 5 on
-the dblp surrogate — rather than the hoped-for 1.5× (the bound and the
-churn measurements are recorded in ROADMAP.md).  The assertions below
-pin the honest floors.
+``test_pair_keyed_fold_coverage`` pins the array engine's structural
+claim: because every pair's perturbation is keyed by the pair, the
+base/fold posterior (one cached edge-DP per probe, each attempt's
+additions folded in, all attempts evaluated in one stacked pass) serves
+most posterior rows without a recompute.
 
 Environment knobs:
 
@@ -86,16 +72,15 @@ def _grid(graph):
     ]
 
 
-def _run(graph, k, eps, engine, *, stream="attempt", attempts=SEARCH_ATTEMPTS):
+def _run(graph, k, eps, engine):
     return obfuscate(
         graph,
         k=k,
         eps=eps,
         seed=SEED,
-        attempts=attempts,
+        attempts=SEARCH_ATTEMPTS,
         delta=DELTA,
         engine=engine,
-        stream=stream,
     )
 
 
@@ -196,7 +181,7 @@ def test_obfuscation_search_speedup(graph):
     )
     # The headline bound holds at the documented scale; tiny smoke
     # surrogates leave too little vectorisable work per probe.  Kept a
-    # notch under the measured ~2.9-3.2x — absolute ratios drift with
+    # notch under the measured ~3.6-3.9x — absolute ratios drift with
     # runner profile (see bench_worlds.py); perf_gate.py owns the
     # relative regression check.
     floor = 2.0 if SEARCH_SCALE >= 0.4 else 1.2
@@ -205,124 +190,20 @@ def test_obfuscation_search_speedup(graph):
     )
 
 
-def test_stream_definition2_equivalence(graph):
-    """pair_keyed vs attempt: same Definition-2 outcome, high fold coverage.
+def test_pair_keyed_fold_coverage(graph):
+    """The base/fold path serves most posterior rows across the grid.
 
-    The two streams draw different randomness by design, and the
-    pair_keyed σ(e) normaliser (the Q-expectation μ_Q instead of the
-    realised candidate-set mean) rescales the σ axis itself, so σ*
-    values are mode-specific — the equivalence is outcome-level:
-    identical success/failure per cell, the released graph meets the
-    (k, ε) requirement, and σ* stays within a fixed envelope of the
-    attempt-stream value (catching gross regressions, not the
-    normaliser's documented rescale).  The fold-coverage assertion is
-    the tentpole's structural claim — the incremental base/fold path
-    must serve ≥80% of posterior rows at the documented scale (≥60% on
-    the tiny CI smoke surrogate, where hub rows are a larger fraction).
+    ≥80% of rows at the documented scale, ≥60% on the tiny CI smoke
+    surrogate, where hub rows (CLT, always recomputed) are a larger
+    fraction.  Every successful cell's release meets its tolerance.
     """
     folded = recomputed = 0
     for k, paper_eps, eps in _grid(graph):
-        pair = _run(graph, k, eps, "array", stream="pair_keyed")
-        attempt = _run(graph, k, eps, "array", stream="attempt")
-        assert pair.success == attempt.success, (k, paper_eps)
-        if pair.success:
-            ratio = pair.sigma / attempt.sigma
-            near_floor = max(pair.sigma, attempt.sigma) <= 8 * DELTA
-            assert near_floor or 1 / 8 <= ratio <= 8.0, (k, paper_eps, ratio)
-            assert pair.eps_achieved <= eps
-        folded += pair.rows_folded
-        recomputed += pair.rows_recomputed
+        result = _run(graph, k, eps, "array")
+        if result.success:
+            assert result.eps_achieved <= eps, (k, paper_eps)
+        folded += result.rows_folded
+        recomputed += result.rows_recomputed
     coverage = folded / max(folded + recomputed, 1)
     floor = 0.8 if SEARCH_SCALE >= 0.4 else 0.6
     assert coverage >= floor, f"fold coverage {coverage:.3f} < {floor}"
-
-
-def test_substream_speedup(graph):
-    """Measure the stream change end-to-end and pin the honest floors.
-
-    The CSV records, per (k, ε, attempts) cell, both streams' best-of-2
-    wall-clock and the pair_keyed fold coverage.  Floors (documented
-    scale): parity at the harness t = 3 (the candidate-addition churn
-    bounds the incremental win — see the module docstring) and ≥1.05×
-    at the paper's t = 5, where the per-probe edge state amortises.
-    """
-    grid = _grid(graph)
-    _run(graph, grid[0][0], grid[0][2], "array", stream="attempt")
-    _run(graph, grid[0][0], grid[0][2], "array", stream="pair_keyed")
-
-    def _best_of(stream, k, eps, attempts, rounds=2):
-        best, result = math.inf, None
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            result = _run(
-                graph, k, eps, "array", stream=stream, attempts=attempts
-            )
-            best = min(best, time.perf_counter() - t0)
-        return best, result
-
-    rows = []
-    totals = {}
-    for attempts in (SEARCH_ATTEMPTS, 5):
-        total_attempt = total_pair = 0.0
-        folded = recomputed = 0
-        for k, paper_eps, eps in grid:
-            t_attempt, _ = _best_of("attempt", k, eps, attempts)
-            t_pair, pair = _best_of("pair_keyed", k, eps, attempts)
-            total_attempt += t_attempt
-            total_pair += t_pair
-            folded += pair.rows_folded
-            recomputed += pair.rows_recomputed
-            rows.append(
-                {
-                    "dataset": "dblp",
-                    "scale": SEARCH_SCALE,
-                    "n": graph.num_vertices,
-                    "m": graph.num_edges,
-                    "attempts": attempts,
-                    "k": k,
-                    "paper_eps": paper_eps,
-                    "eps_used": round(eps, 6),
-                    "probes": len(pair.trace),
-                    "success": pair.success,
-                    "attempt_seconds": round(t_attempt, 4),
-                    "pair_keyed_seconds": round(t_pair, 4),
-                    "speedup": round(t_attempt / t_pair, 2),
-                    "fold_coverage": round(pair.fold_fraction, 4),
-                }
-            )
-        coverage = folded / max(folded + recomputed, 1)
-        totals[attempts] = (total_attempt, total_pair, coverage)
-        rows.append(
-            {
-                "dataset": "dblp",
-                "scale": SEARCH_SCALE,
-                "n": graph.num_vertices,
-                "m": graph.num_edges,
-                "attempts": attempts,
-                "k": "all",
-                "paper_eps": "all",
-                "eps_used": "",
-                "probes": "",
-                "success": "",
-                "attempt_seconds": round(total_attempt, 4),
-                "pair_keyed_seconds": round(total_pair, 4),
-                "speedup": round(total_attempt / total_pair, 2),
-                "fold_coverage": round(coverage, 4),
-            }
-        )
-
-    from conftest import save_results
-
-    save_results(rows, "substream_speedup.csv")
-    for attempts, (ta, tp, cov) in totals.items():
-        print(
-            f"\nstream grid t={attempts} (scale={SEARCH_SCALE}, "
-            f"n={graph.num_vertices}): attempt {ta:.2f}s, pair_keyed "
-            f"{tp:.2f}s — {ta / tp:.2f}x, fold coverage {cov:.3f}"
-        )
-    if SEARCH_SCALE >= 0.4:
-        ta, tp, cov = totals[SEARCH_ATTEMPTS]
-        assert ta / tp >= 0.9, f"t={SEARCH_ATTEMPTS} regressed: {ta / tp:.2f}x"
-        assert cov >= 0.8
-        ta5, tp5, _ = totals[5]
-        assert ta5 / tp5 >= 1.05, f"t=5 speedup {ta5 / tp5:.2f}x < 1.05x"

@@ -64,8 +64,6 @@ GATES: list[tuple[str, dict[str, str], str]] = [
     ("worlds_speedup.csv", {"backend": "batched"}, "speedup"),
     ("obfuscation_speedup.csv", {"k": "all"}, "speedup"),
     ("table6_speedup.csv", {"backend": "batched"}, "speedup"),
-    ("substream_speedup.csv", {"attempts": "3", "k": "all"}, "speedup"),
-    ("substream_speedup.csv", {"attempts": "5", "k": "all"}, "speedup"),
 ]
 
 

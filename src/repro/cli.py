@@ -92,7 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--escalate-c",
         action="store_true",
-        help="retry with c=3 then c=5 if the base c cannot bracket",
+        help="retry with c=3 then c=5 (those above --c) if the base c "
+        "cannot bracket",
     )
     p.add_argument(
         "--engine",
@@ -100,15 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("array", "sequential"),
         help="Algorithm-2 engine: vectorised 'array' (default) or the "
         "per-draw 'sequential' ground truth (same seed, same result)",
-    )
-    p.add_argument(
-        "--stream",
-        default="pair_keyed",
-        choices=("pair_keyed", "attempt"),
-        help="perturbation randomness: 'pair_keyed' (default) derives "
-        "each pair's draw from a counter-based substream so the "
-        "incremental posterior can fold across attempts; 'attempt' is "
-        "the historical redraw-everything stream (pinned ground truth)",
     )
 
     p = sub.add_parser("verify", parents=[common], help="check Definition 2 on a release")
@@ -262,7 +254,10 @@ def _cmd_obfuscate(args) -> int:
     with span("read_input", path=str(args.input)):
         graph = read_edge_list(args.input)
     print(f"loaded {args.input}: n={graph.num_vertices} m={graph.num_edges}")
-    c_values = (args.c, 3.0, 5.0) if args.escalate_c else (args.c,)
+    c_values = (args.c,)
+    if args.escalate_c:
+        # Escalation only ever enlarges the candidate set.
+        c_values += tuple(c for c in (3.0, 5.0) if c > args.c)
     result = obfuscate_with_fallback(
         graph,
         args.k,
@@ -273,7 +268,6 @@ def _cmd_obfuscate(args) -> int:
         attempts=args.attempts,
         delta=args.delta,
         engine=args.engine,
-        stream=args.stream,
     )
     if not result.success:
         print(

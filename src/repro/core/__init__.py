@@ -41,11 +41,7 @@ from repro.core.obfuscation_check import (
     tolerance_achieved,
 )
 from repro.core.posterior_batch import (
-    FOLD_OUT_MAX_P,
-    IncrementalDegreePosterior,
     degree_posterior_matrix,
-    fold_in_bernoulli,
-    fold_out_bernoulli,
     normal_approx_pmf_batch,
     poisson_binomial_pmf_batch,
 )
@@ -123,10 +119,6 @@ __all__ = [
     "CandidateStallError",
     "SearchContext",
     "SigmaSetup",
-    "FOLD_OUT_MAX_P",
-    "IncrementalDegreePosterior",
-    "fold_in_bernoulli",
-    "fold_out_bernoulli",
     "obfuscate",
     "obfuscate_with_fallback",
     "ObfuscationParams",

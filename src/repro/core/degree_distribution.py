@@ -59,8 +59,7 @@ def erf_rational(x: np.ndarray) -> np.ndarray:
     in ``t = 1/(1 + p·|x|)`` plus one ``exp`` — a handful of float64
     array passes instead of the former ``np.frompyfunc(math.erf)``
     object loop, whose per-element Python calls made the batched CLT
-    posterior (and with it the incremental fold path) fall off a cliff
-    on SciPy-less installs.  Odd symmetry handles negative inputs;
+    posterior fall off a cliff on SciPy-less installs.  Odd symmetry handles negative inputs;
     ``±inf`` maps to ``±1`` and NaN propagates.
     """
     x = np.asarray(x, dtype=np.float64)

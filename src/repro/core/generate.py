@@ -18,49 +18,34 @@ True edges that get *removed* from ``E_C`` become certain non-edges
 (``p = 0``) — the coarse whole-edge deletions that partial perturbation
 mostly, but not entirely, replaces.
 
+Every pair's perturbation randomness is keyed by the pair itself: one
+master key is drawn per Algorithm-2 call, and each pair's ``R_σ(e)``
+uniform, white-noise coin and white-noise value come from counter-based
+substreams keyed by the pair code
+(:func:`repro.core.perturbation.pair_stream_uniforms`), sampled through
+the inverse CDF in a single pass.  σ(e) uses the
+candidate-set-independent Eq. 7 normaliser
+(:func:`repro.core.uniqueness.redistribute_sigma_invariant`), so a
+pair's probability is a pure function of ``(key, pair code, σ)`` and
+pairs shared between attempts keep bit-equal probabilities.
+
 Two execution engines share this module (``ObfuscationParams.engine``):
 
 * ``"array"`` (default) — candidate sets are built by vectorised
-  toggling over pair codes (:func:`_build_candidate_codes`), and all
+  toggling over pair codes (:func:`_build_candidate_codes`), all
   σ-independent setup is hoisted into a :class:`SearchContext` shared
-  across the probes of Algorithm 1's binary search.  Under the default
-  ``pair_keyed`` stream the Definition-2 check evaluates all of a
-  probe's attempts in one stacked pass
-  (:func:`_generate_pair_keyed_array`); under ``stream="attempt"`` it
-  runs per attempt on the incremental posterior engine
-  (:class:`repro.core.posterior_batch.IncrementalDegreePosterior`).
-* ``"sequential"`` — the original per-draw Python loop, kept as pinned
-  ground truth.
+  across the probes of Algorithm 1's binary search, and the
+  Definition-2 check evaluates all of a probe's attempts in one stacked
+  pass that serves most rows from per-probe base rows plus a fold-in of
+  each attempt's additions (:func:`_generate_pair_keyed_array`).
+* ``"sequential"`` — the original per-draw Python loop with a full
+  posterior recompute per attempt, kept as pinned ground truth.
 
 Both engines consume the *same* RNG stream call-for-call, so a fixed
 seed produces bit-identical candidate sets, released graphs and search
-traces on either — the property the seed-equivalence tests pin.
-
-Orthogonally, ``ObfuscationParams.stream`` selects where the
-*perturbation* randomness comes from:
-
-* ``"pair_keyed"`` (default) — one master key is drawn per Algorithm-2
-  call and every pair's ``R_σ(e)`` uniform, white-noise coin and
-  white-noise value come from counter-based substreams keyed by the
-  pair code (:func:`repro.core.perturbation.pair_stream_uniforms`),
-  sampled through the inverse CDF in a single pass.  σ(e) uses the
-  candidate-set-independent Eq. 7 normaliser
-  (:func:`repro.core.uniqueness.redistribute_sigma_invariant`), so a
-  pair's probability is a pure function of ``(key, pair code, σ)``:
-  pairs shared between attempts keep bit-equal probabilities, and the
-  array engine serves most rows from per-probe base rows plus a
-  fold-in of each attempt's additions instead of re-running the
-  Lemma-1 DP.
-* ``"attempt"`` — the historical mode: every attempt redraws all pairs
-  from the shared sequential stream (rejection sampling, empirical
-  Eq. 7 normaliser).  Bit-identical to the pre-substream engine at a
-  fixed seed; kept as pinned ground truth for the documented stream
-  change.
-
-Both streams are deterministic and engine-independent (array and
-sequential agree pair-for-pair under either; the array fold path may
-drift ≤1e-12 from the sequential full recompute, which the
-stream-equivalence tests bound).
+traces on either — the property the seed-equivalence tests pin (the
+array fold path may drift ≤1e-12 from the sequential full recompute,
+which the stream-equivalence tests bound).
 """
 
 from __future__ import annotations
@@ -71,7 +56,6 @@ import numpy as np
 
 from repro.core.degree_distribution import AUTO_EXACT_LIMIT
 from repro.core.obfuscation_check import (
-    DegreePosterior,
     column_mass_stack,
     compute_degree_posterior,
     entropies_from_column_mass,
@@ -82,10 +66,8 @@ from repro.core.perturbation import (
     PAIR_SUBSTREAM_WHITE_VALUE,
     pair_stream_uniforms,
     perturbations_from_uniforms,
-    sample_perturbations,
 )
 from repro.core.posterior_batch import (
-    IncrementalDegreePosterior,
     _incidence_csr,
     _segment_moments,
     degree_posterior_matrix,
@@ -98,7 +80,6 @@ from repro.core.uniqueness import (
     degree_commonness_from_histogram,
     degree_histogram,
     pair_uniqueness,
-    redistribute_sigma,
     redistribute_sigma_invariant,
 )
 from repro.graphs.graph import Graph
@@ -120,7 +101,7 @@ _BATCH = 8192
 _MAX_DRAW_FACTOR = 200
 
 # (The packed (code, position) sort keys of _build_candidate_codes
-# reserve position bits per call, since the pair_keyed stream may scale
+# reserve position bits per call, since _candidate_batch_size scales
 # the batch; the np.unique fallback guards vertex counts large enough
 # for the shifted codes to overflow int64.)
 
@@ -289,20 +270,15 @@ def _merge_sorted_disjoint(
     return out
 
 
-def _candidate_batch_size(target_size: int, m: int, stream: str) -> int:
+def _candidate_batch_size(target_size: int, m: int) -> int:
     """Q-sampling batch size for one candidate build.
 
-    The ``attempt`` stream is pinned to :data:`_BATCH` (its draw
-    pattern is part of the PR-4 bit-identity contract).  The
-    ``pair_keyed`` stream — a documented stream change — scales the
-    batch to the net additions the build needs (plus 12.5% slack for
-    self-pairs, repeats and removals, capped at 8×), so large graphs
-    finish in one batch instead of paying the toggle bookkeeping per
-    8192-pair slice.  Both engines derive the size from the same
-    inputs, so their streams stay aligned.
+    A multiple of :data:`_BATCH` scaled to the net additions the build
+    needs (plus 12.5% slack for self-pairs, repeats and removals, capped
+    at 8×), so large graphs finish in one batch instead of paying the
+    toggle bookkeeping per 8192-pair slice.  Both engines derive the
+    size from the same inputs, so their streams stay aligned.
     """
-    if stream != "pair_keyed":
-        return _BATCH
     needed = max(target_size - m, 1)
     slack = needed + needed // 8
     return min(-(-slack // _BATCH), 8) * _BATCH
@@ -482,7 +458,7 @@ class SigmaSetup:
     q_mean_uniqueness:
         ``μ_Q = Σ_v Q(v)·U_σ(P(v))`` — the expected uniqueness of a
         Q-sampled endpoint, the candidate-set-independent Eq. 7
-        normaliser of the ``pair_keyed`` perturbation stream
+        normaliser of the pair-keyed perturbation draws
         (:func:`repro.core.uniqueness.redistribute_sigma_invariant`).
     sampler:
         The table-accelerated Q sampler
@@ -528,7 +504,7 @@ class SearchContext:
     One Algorithm-1 run calls Algorithm 2 at a dozen or more σ values;
     everything that does not depend on σ — degrees, the degree
     histogram behind uniqueness, the edge set in both set and code
-    form, the checker width, and the incremental posterior engine — is
+    form, the edge-incidence structure and the checker width — is
     computed once here.  Per-σ setup (uniqueness, ``H``, Q-weights and
     the feasibility count) is memoised by σ, so repeated probes at the
     same σ (the doubling ladder replayed by ``obfuscate_with_fallback``
@@ -566,7 +542,6 @@ class SearchContext:
         )
         self._edge_set: set[tuple[int, int]] | None = None
         self._setups: dict[float, SigmaSetup] = {}
-        self._posterior_engines: dict[bool, IncrementalDegreePosterior] = {}
         self._edge_incidence: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Per-vertex multiplicity of each distinct degree — turns the
         # per-attempt "count under-obfuscated vertices" gather into a
@@ -611,7 +586,7 @@ class SearchContext:
         maps each CSR slot to the edge index whose probability occupies
         it — the layout of
         :func:`repro.core.posterior_batch._incidence_csr` with the data
-        replaced by provenance.  The ``pair_keyed`` probe path fills the
+        replaced by provenance.  The array probe path fills the
         per-probe data with a single gather ``p_edge[entry_pair]``
         instead of re-running the scatter every probe.
         """
@@ -625,28 +600,6 @@ class SearchContext:
             )
             self._edge_incidence = (counts, indptr, slots.astype(np.int64))
         return self._edge_incidence
-
-    def posterior_engine(self, *, fold: bool = False) -> IncrementalDegreePosterior:
-        """The shared incremental posterior engine (attempt-stream array path).
-
-        One engine per fold mode, memoised for the context's lifetime
-        so its cached state persists across attempts, probes and ``c``
-        escalations.  The attempt stream uses ``fold=False``: changed
-        rows are recomputed through the row-independent staircase/CLT
-        passes, keeping the array engine bit-identical to the
-        sequential one at every attempt.  (The ``pair_keyed`` stream
-        does not route through this engine at all — its probe-batched
-        base/fold path lives in :func:`_generate_pair_keyed_array`;
-        ``fold=True`` remains available for callers that drive the
-        incremental engine directly.)
-        """
-        engine = self._posterior_engines.get(fold)
-        if engine is None:
-            engine = IncrementalDegreePosterior(
-                self.n, width=self.width, method=self.method, fold=fold
-            )
-            self._posterior_engines[fold] = engine
-        return engine
 
     def sigma_setup(self, sigma: float) -> SigmaSetup:
         """Memoised per-σ setup (uniqueness, H, Q, feasibility)."""
@@ -679,7 +632,7 @@ class SearchContext:
                 "every vertex was excluded; cannot sample candidate pairs"
             )
         q_probs = q_weights / total_weight
-        # μ_Q — the pair_keyed stream's Eq. 7 normaliser (see SigmaSetup).
+        # μ_Q — the pair-keyed draws' Eq. 7 normaliser (see SigmaSetup).
         q_mean_uniqueness = float(q_probs @ uniqueness)
         # Feasibility: E_C can grow at most to |E| plus the non-edges
         # available among V \ H.  The paper's |E| ≪ |V2|/2 assumption
@@ -708,7 +661,7 @@ def _pair_stream_perturbations(
 ) -> np.ndarray:
     """``r_e`` for a batch of pairs — a pure function of the pair.
 
-    The pair_keyed stream's sampler: per-pair σ(e) via the invariant
+    Algorithm 2's perturbation sampler: per-pair σ(e) via the invariant
     Eq. 7 normaliser, one inverse-CDF pass over the pair-code-keyed
     uniforms, and white noise resolved from its own substreams.  The
     same helper serves both engines (and the batched probe path), so a
@@ -782,9 +735,9 @@ def _generate_pair_keyed_array(
     setup: SigmaSetup,
     target_size: int,
 ) -> GenerationOutcome:
-    """Algorithm 2 under the ``pair_keyed`` stream, array engine.
+    """Algorithm 2 on the array engine.
 
-    The pair-keyed stream turns the probe's randomness inside out: the
+    Pair-keyed perturbations turn the probe's randomness inside out: the
     master RNG only feeds the candidate builds (plus the one key draw),
     and every pair probability is a pure function of
     ``(key, pair code, σ)``.  Two structural consequences carry the
@@ -805,12 +758,11 @@ def _generate_pair_keyed_array(
 
     Only two row classes pay a recompute: CLT rows (O(width) each, by
     design) and exact rows that lost an edge to candidate toggling —
-    removed edges carry ``p = 1 - r_e`` beyond
-    :data:`repro.core.posterior_batch.FOLD_OUT_MAX_P`, where the
-    inverse fold is ill-conditioned, so their base is rebuilt from the
-    kept entries instead (the same rule the incremental engine pins).
-    Everything else is served from the cached base + fold-in — the
-    ``rows_folded`` counter the benchmarks assert on.
+    removed edges carry ``p = 1 - r_e``, typically above 1/2, where
+    folding a Bernoulli back *out* of a DP row amplifies rounding by
+    ``(p/(1-p))^ω``, so their base is rebuilt from the kept entries
+    instead.  Everything else is served from the cached base + fold-in
+    — the ``rows_folded`` counter the benchmarks assert on.
 
     Fold rows fold edges first, then additions (the canonical CSR
     interleaves them), so values may drift ≤1e-12 from the sequential
@@ -822,11 +774,11 @@ def _generate_pair_keyed_array(
     pair_key = int(rng.integers(0, 2**63 - 1))
 
     # Phase 1 — candidate builds, consuming the master stream exactly
-    # like the sequential engine's per-attempt builds (nothing else in
-    # this mode draws from the master RNG between them).
+    # like the sequential engine's per-attempt builds (nothing else
+    # draws from the master RNG between them).
     built: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     pairs_drawn = 0
-    batch_size = _candidate_batch_size(target_size, m, params.stream)
+    batch_size = _candidate_batch_size(target_size, m)
     for attempt in range(params.attempts):
         try:
             codes, is_edge, removed_codes, draws_used = _build_candidate_codes(
@@ -954,8 +906,8 @@ def _generate_pair_keyed_array(
     if rebuild.size:
         # Rebuild the base of rows that lost an edge to candidate
         # toggling: gather their edge-CSR slots and drop the slots whose
-        # edge was toggled out in that row's attempt (p = 1 - r_e sits
-        # beyond FOLD_OUT_MAX_P, so the inverse fold is off the table).
+        # edge was toggled out in that row's attempt (folding p = 1 - r_e
+        # back out of the base row would be ill-conditioned).
         verts = rebuild % n
         atts = rebuild // n
         live = e_counts[verts]
@@ -1071,10 +1023,10 @@ def generate_obfuscation(
         it, to be an input); defaults to the top-uniqueness selection.
     context:
         Optional :class:`SearchContext` to reuse across probes; the
-        Algorithm-1 driver passes one so degrees, edge codes, per-σ
-        uniqueness/Q-weights and the posterior engine are shared.  Must
-        have been built for this graph and ``params``' eps/weighting/
-        method.
+        Algorithm-1 search passes one so degrees, edge codes, the
+        edge-incidence structure and per-σ uniqueness/Q-weights are
+        shared.  Must have been built for this graph and ``params``'
+        eps/weighting/method.
 
     Returns
     -------
@@ -1097,23 +1049,19 @@ def generate_obfuscation(
         setup = context.sigma_setup(sigma)
     else:
         setup = context.setup_for_excluded(sigma, excluded)
-    uniqueness, q_probs = setup.uniqueness, setup.q_probs
 
     target_size = int(round(params.c * m))
-    width = context.width  # checker needs columns only at original degrees
     if target_size > m + setup.available_additions:
         raise ValueError(
             f"candidate-set target c|E|={target_size} exceeds the {m} edges plus "
             f"{setup.available_additions} addable non-edges outside H; reduce c"
         )
 
-    use_array = params.engine == "array"
-    pair_stream = params.stream == "pair_keyed"
-    if use_array and pair_stream:
+    if params.engine == "array":
         # The default path: per-probe edge state + batched attempt
         # evaluation through the base/fold posterior (see the helper's
-        # docstring).  The sequential engine keeps the attempt loop
-        # below as its ground truth for this stream too.
+        # docstring).  The attempt loop below is its sequential ground
+        # truth.
         return _generate_pair_keyed_array(
             sigma, params, rng, context, setup, target_size
         )
@@ -1122,36 +1070,21 @@ def generate_obfuscation(
         eps_achieved=float("inf"), uncertain=None, sigma=sigma
     )
     pairs_drawn = 0
-    # The attempt stream's array path keeps fold off so its selective
-    # updates stay bit-identical to the PR-4 engine.
-    posterior_engine = context.posterior_engine() if use_array else None
-    edge_set = context.edge_set if not use_array else None
-    stats_before = dict(posterior_engine.stats) if use_array else None
+    edge_set = context.edge_set
     posteriors_computed = 0
-    if pair_stream:
-        # One master key per Algorithm-2 call: every pair draw below is
-        # a pure function of (key, pair code, σ), shared by the call's
-        # attempts — and by both engines, which consume the master
-        # stream identically up to this point.
-        pair_key = int(rng.integers(0, 2**63 - 1))
+    # One master key per Algorithm-2 call: every pair draw below is a
+    # pure function of (key, pair code, σ), shared by the call's
+    # attempts — and by both engines, which consume the master stream
+    # identically up to this point.
+    pair_key = int(rng.integers(0, 2**63 - 1))
     k_threshold = math.log2(params.k) - 1e-12  # Definition-2 bound, as k_obfuscated
-    batch_size = _candidate_batch_size(target_size, m, params.stream)
+    batch_size = _candidate_batch_size(target_size, m)
     for attempt in range(params.attempts):
         try:
-            if use_array:
-                codes, is_edge, _, draws_used = _build_candidate_codes(
-                    n,
-                    context.edge_codes,
-                    target_size,
-                    setup.sampler,
-                    rng,
-                    batch_size=batch_size,
-                )
-                us, vs = codes // n, codes % n
-            else:
-                candidate, draws_used = _build_candidate_set(
-                    n, edge_set, target_size, q_probs, rng, batch_size=batch_size
-                )
+            candidate, draws_used = _build_candidate_set(
+                n, edge_set, target_size, setup.q_probs, rng,
+                batch_size=batch_size,
+            )
         except CandidateStallError as stall:
             # Stochastic stall (all eligible non-edges absorbed before the
             # target was hit) — count as a failed attempt, like the paper's
@@ -1162,39 +1095,21 @@ def generate_obfuscation(
             continue
         pairs_drawn += draws_used // 2
         _GEN_REDRAWS.observe(draws_used // 2)
-        if not use_array:
-            pairs = np.array(sorted(candidate), dtype=np.int64)
-            us, vs = pairs[:, 0], pairs[:, 1]
-            codes = us * np.int64(n) + vs
+        pairs = np.array(sorted(candidate), dtype=np.int64)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        codes = us * np.int64(n) + vs
 
-        if pair_stream:
-            perturbations = _pair_stream_perturbations(
-                pair_key, codes, us, vs, sigma, setup, params.q
-            )
-        else:
-            pair_uniq = pair_uniqueness(uniqueness, us, vs)
-            pair_sigmas = redistribute_sigma(sigma, pair_uniq)
-            perturbations = sample_perturbations(pair_sigmas, seed=rng)
-            white = rng.random(len(us)) < params.q
-            if white.any():
-                perturbations[white] = rng.random(int(white.sum()))
-
-        if not use_array:
-            is_edge = np.isin(codes, context.edge_codes, assume_unique=True)
+        perturbations = _pair_stream_perturbations(
+            pair_key, codes, us, vs, sigma, setup, params.q
+        )
+        is_edge = np.isin(codes, context.edge_codes, assume_unique=True)
         probs = np.where(is_edge, 1.0 - perturbations, perturbations)
 
-        if use_array:
-            # The incremental engine diffs this attempt's candidate set
-            # against the previous one and only touches changed rows; no
-            # UncertainGraph is materialised unless the attempt wins.
-            matrix = posterior_engine.update_from_pairs(us, vs, probs, codes=codes)
-            posterior = DegreePosterior(matrix)
-            uncertain = None
-        else:
-            uncertain = UncertainGraph.from_arrays(n, us, vs, probs, keep_zero=True)
-            posterior = compute_degree_posterior(
-                uncertain, method=params.method, width=width
-            )
+        uncertain = UncertainGraph.from_arrays(n, us, vs, probs, keep_zero=True)
+        # The checker needs columns only at original degrees.
+        posterior = compute_degree_posterior(
+            uncertain, method=params.method, width=context.width
+        )
         posteriors_computed += 1
         # Line 20: ε̃ = |{v: H(Y_{P(v)}) < log2 k}| / n, sharing the
         # context's distinct-degree dedup (same arithmetic as
@@ -1203,10 +1118,6 @@ def generate_obfuscation(
         obfuscated = entropies[context.degree_inverse] >= k_threshold
         eps_attempt = float((~obfuscated).sum()) / max(n, 1)
         if eps_attempt <= params.eps and eps_attempt < best.eps_achieved:
-            if uncertain is None:
-                # The array builder guarantees sorted unique u < v pairs
-                # and owns the probs buffer — skip re-validation.
-                uncertain = UncertainGraph._from_trusted_arrays(n, us, vs, probs)
             best = GenerationOutcome(
                 eps_achieved=eps_attempt,
                 uncertain=uncertain,
@@ -1216,22 +1127,5 @@ def generate_obfuscation(
     if best.uncertain is None:
         best.attempts_made = params.attempts
     best.pairs_drawn = pairs_drawn
-    if use_array:
-        # Fold-path coverage: how many of this call's posterior rows the
-        # incremental engine served from cache / by fold, vs recomputed
-        # (full rebuilds recompute all n rows).
-        stats_after = posterior_engine.stats
-        best.rows_folded = (
-            stats_after["skipped"]
-            - stats_before["skipped"]
-            + stats_after["folded"]
-            - stats_before["folded"]
-        )
-        best.rows_recomputed = (
-            stats_after["recomputed"]
-            - stats_before["recomputed"]
-            + n * (stats_after["full"] - stats_before["full"])
-        )
-    else:
-        best.rows_recomputed = n * posteriors_computed
+    best.rows_recomputed = n * posteriors_computed
     return _record_outcome(best)

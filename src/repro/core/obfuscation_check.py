@@ -307,9 +307,8 @@ def tolerance_achieved(
     Parameters
     ----------
     uncertain:
-        Candidate release.  May be ``None`` when ``posterior`` is given
-        — the array engine checks attempts straight off the incremental
-        posterior without materialising an uncertain graph.
+        Candidate release.  May be ``None`` when ``posterior`` is
+        given.
     original_degrees:
         ``P(v)`` — degrees in the original graph G (the adversary's
         background knowledge).

@@ -18,8 +18,8 @@ values (Eq. 7).  Strategy:
   ``erf(1/(σ√2))`` (≥ 0.68 for σ ≤ 1), which is exact and needs no
   inverse-erf dependency.
 
-Two additions serve the ``stream="pair_keyed"`` perturbation mode of
-Algorithm 2 (:mod:`repro.core.generate`):
+Two additions serve Algorithm 2's pair-keyed perturbation draws
+(:mod:`repro.core.generate`):
 
 * an **inverse-CDF sampler** (:func:`perturbations_from_uniforms` on top
   of :func:`erfinv_array`) that maps one uniform per pair straight
@@ -338,8 +338,8 @@ def pair_stream_uniforms(
     :func:`_splitmix64`; the top 53 bits become the uniform, exactly
     how ``numpy`` converts words to doubles.  No sequential state means
     draws are independent of evaluation order and of every other pair —
-    the invariance the incremental posterior needs to see bit-equal
-    probabilities for pairs shared across attempts.
+    the invariance the array engine's base/fold posterior needs to see
+    bit-equal probabilities for pairs shared across attempts.
     """
     codes = np.asarray(codes)
     if codes.size and int(codes.min()) < 0:

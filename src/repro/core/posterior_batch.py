@@ -47,19 +47,9 @@ __all__ = [
     "poisson_binomial_pmf_tree",
     "normal_approx_pmf_batch",
     "degree_posterior_matrix",
-    "degree_posterior_matrix_sharded",
-    "fold_in_bernoulli",
     "fold_in_staircase",
-    "fold_out_bernoulli",
-    "IncrementalDegreePosterior",
     "TREE_FFT_MIN_DEGREE",
 ]
-
-#: Fold-out stability bound: the inverse Lemma-1 recurrence amplifies
-#: rounding error by ``(p/(1-p))^ω`` across the ω columns, so folding a
-#: Bernoulli *out* of a DP row is only well-conditioned for ``p ≤ 1/2``.
-#: The incremental engine recomputes rows whose removed entries exceed it.
-FOLD_OUT_MAX_P = 0.5
 
 #: Element budget (≈128 MB of float64) above which the staircase DP
 #: streams addend columns from the CSR instead of building the dense
@@ -81,10 +71,6 @@ _DISPATCH_STAIRCASE = _OBS.counter("posterior.dispatch.auto_staircase")
 _FOLD_ROWS = _OBS.counter("posterior.fold.rows")
 _FOLD_ROWS_TREE = _OBS.counter("posterior.fold.rows_tree")
 _FOLD_ROWS_STAIRCASE = _OBS.counter("posterior.fold.rows_staircase")
-_INC_FULL = _OBS.counter("posterior.incremental.full")
-_INC_SKIPPED = _OBS.counter("posterior.incremental.skipped")
-_INC_RECOMPUTED = _OBS.counter("posterior.incremental.recomputed")
-_INC_FOLDED = _OBS.counter("posterior.incremental.folded")
 
 
 def poisson_binomial_pmf_batch(
@@ -360,7 +346,6 @@ def degree_posterior_matrix(
     *,
     method: str = "auto",
     width: int | None = None,
-    out: np.ndarray | None = None,
     kernel: str = "auto",
 ) -> np.ndarray:
     """The full ``(n, width)`` X matrix from CSR incident probabilities.
@@ -381,10 +366,6 @@ def degree_posterior_matrix(
         Number of degree columns (default: max addend count plus one,
         i.e. no truncation).  Truncated tail mass is dropped, never
         lumped.
-    out:
-        Optional preallocated ``(n, width)`` float64 buffer to fill and
-        return (zeroed first) — the incremental engine reuses its
-        matrix across rebuilds instead of allocating per attempt.
     kernel:
         Exact-row evaluation kernel: ``"staircase"`` (the Lemma-1 DP,
         O(ℓ²) per row), ``"tree"``
@@ -427,13 +408,7 @@ def degree_posterior_matrix(
     if kernel not in ("auto", "tree", "staircase"):
         raise ValueError(f"unknown kernel {kernel!r}; use staircase/tree/auto")
 
-    if out is None:
-        X = np.zeros((n, width), dtype=np.float64)
-    else:
-        if out.shape != (n, width) or out.dtype != np.float64:
-            raise ValueError(f"out must be a float64 ({n}, {width}) array")
-        X = out
-        X[...] = 0.0
+    X = np.zeros((n, width), dtype=np.float64)
 
     exact_vertices = np.flatnonzero(exact_mask)
     if exact_vertices.size:
@@ -529,63 +504,6 @@ def degree_posterior_matrix(
     return X
 
 
-def _posterior_rows_task(arg, shared):
-    """One row shard of :func:`degree_posterior_matrix_sharded`."""
-    lo, hi, method, width, kernel = arg
-    indptr = shared["indptr"]
-    data = shared["data"]
-    sub_indptr = indptr[lo : hi + 1] - indptr[lo]
-    sub_data = data[indptr[lo] : indptr[hi]]
-    return degree_posterior_matrix(
-        sub_indptr, sub_data, method=method, width=width, kernel=kernel
-    )
-
-
-def degree_posterior_matrix_sharded(
-    indptr: np.ndarray,
-    data: np.ndarray,
-    *,
-    executor,
-    method: str = "auto",
-    width: int | None = None,
-    kernel: str = "auto",
-    chunk_size: int | None = None,
-) -> np.ndarray:
-    """:func:`degree_posterior_matrix` dispatched as row-block shards.
-
-    Rows are kernel-batch-independent (the pinned property that already
-    licenses the staircase/tree/CLT split), so any contiguous row block
-    evaluated against its own CSR slice produces bit-for-bit the rows
-    the monolithic call would.  ``width`` is resolved *globally* first —
-    a shard must not derive it from its local max addend count — then
-    the plan follows :func:`repro.exec.plan.posterior_rows_chunk_size`
-    (bounding each shard's output slab), and the CSR arrays travel to
-    workers once via shared memory.
-
-    Parameters other than ``executor`` (a
-    :class:`~repro.exec.executor.ChunkExecutor`) and ``chunk_size``
-    match :func:`degree_posterior_matrix`; ``out`` is unsupported here
-    because shards allocate their own blocks.
-    """
-    from repro.exec.plan import ChunkPlan
-
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if indptr.ndim != 1 or len(indptr) < 1:
-        raise ValueError("indptr must be a non-empty 1-D array")
-    n = len(indptr) - 1
-    if width is None:
-        width = int(np.diff(indptr).max(initial=0)) + 1
-    plan = ChunkPlan.posterior_rows(n, width=width, chunk_size=chunk_size)
-    tasks = [(c.lo, c.hi, method, width, kernel) for c in plan]
-    blocks = executor.map(
-        _posterior_rows_task, tasks, shared={"indptr": indptr, "data": data}
-    )
-    if not blocks:
-        return np.zeros((0, width), dtype=np.float64)
-    return np.vstack(blocks)
-
-
 def _segment_moments(
     data: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -595,10 +513,8 @@ def _segment_moments(
     (``np.add.reduceat``) over its own entries only, so a segment's
     moments are a pure function of its slice of ``data`` — evaluating a
     *subset* of vertices yields bit-identical values to evaluating all
-    of them.  That row independence (shared with the staircase DP, whose
-    per-element arithmetic never crosses rows) is what lets
-    :class:`IncrementalDegreePosterior` recompute only changed rows and
-    still match a full :func:`degree_posterior_matrix` pass exactly.
+    of them, the same row independence as the staircase DP (whose
+    per-element arithmetic never crosses rows).
     """
     counts = hi - lo
     mus = np.zeros(len(lo), dtype=np.float64)
@@ -655,40 +571,6 @@ def _incidence_csr(
     return counts, indptr, data
 
 
-def fold_in_bernoulli(rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """One Lemma-1 step per row: add a Bernoulli(``ps[r]``) to row ``r``.
-
-    ``X'(ω) = X(ω)·(1-p) + X(ω-1)·p`` on the retained width — exactly
-    the arithmetic of one :func:`poisson_binomial_pmf_batch` fold step,
-    so folding a probability into a finished DP row is bit-identical to
-    having included it in the original fold (the DP is order-independent
-    up to floating-point; per-column ops here match the batch fold's).
-
-    Parameters
-    ----------
-    rows:
-        ``(r, width)`` matrix of (possibly truncated) DP rows.
-    ps:
-        One Bernoulli success probability per row.
-
-    Returns
-    -------
-    numpy.ndarray
-        New ``(r, width)`` matrix; inputs are not modified.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    ps = np.asarray(ps, dtype=np.float64)
-    if rows.ndim != 2 or ps.shape != (rows.shape[0],):
-        raise ValueError("rows must be (r, width) with one probability per row")
-    if ps.size and (ps.min() < 0.0 or ps.max() > 1.0):
-        raise ValueError("Bernoulli probabilities must lie in [0, 1]")
-    p = ps[:, None]
-    out = np.empty_like(rows)
-    out[:, 1:] = rows[:, 1:] * (1.0 - p) + rows[:, :-1] * p
-    out[:, 0] = rows[:, 0] * (1.0 - ps)
-    return out
-
-
 #: Degree buckets of :func:`fold_in_staircase`'s convolution pass: rows
 #: are grouped by additions-PMF degree rounded up to these caps so each
 #: bucket resolves as one batched window/coefficient contraction.
@@ -708,8 +590,8 @@ def fold_in_staircase(
     """Fold a ragged batch of Bernoullis into warm DP rows.
 
     Row ``r`` receives the entries ``data[indptr[r]:indptr[r+1]]``: the
-    result equals folding them in with :func:`fold_in_bernoulli` one by
-    one (up to float reordering, ≤1e-12 — pinned by the fold tests).
+    result equals folding them in one Lemma-1 step at a time (up to
+    float reordering, ≤1e-12 — pinned by the fold tests).
     Rows with no entries pass through untouched.
 
     The evaluation is *two-stage* to stay dispatch-bound instead of
@@ -723,7 +605,7 @@ def fold_in_staircase(
     the two-stage result is the same distribution as the sequential
     fold — only the floating-point grouping differs.
 
-    This is the ``pair_keyed`` stream's hot loop: the per-probe base
+    This is the array probe path's hot loop: the per-probe base
     rows (original-edge entries only, stable across attempts) get each
     attempt's candidate *additions* folded in — for all attempts of a
     probe stacked into one call.
@@ -923,336 +805,3 @@ def fold_in_staircase(
             acc = np.einsum("rwi,ri->rw", windows, coeffs)
         out[rows_b, :supcap] = acc
     return out
-
-
-def fold_out_bernoulli(rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Inverse Lemma-1 step: remove a Bernoulli(``ps[r]``) from row ``r``.
-
-    Solves the :func:`fold_in_bernoulli` recurrence forward in ω:
-    ``X(0) = X'(0)/(1-p)``, ``X(ω) = (X'(ω) − X(ω-1)·p)/(1-p)`` — valid
-    on truncated rows too, because the forward fold's entry ω depends
-    only on entries ``≤ ω`` (truncation drops tail mass, never mixes it
-    in).  Rounding error grows as ``(p/(1-p))^ω``, so the inversion is
-    numerically trustworthy only for ``p ≤`` :data:`FOLD_OUT_MAX_P`;
-    ``p = 1`` (a certain edge) is not invertible on a truncated row at
-    all and raises.
-
-    Parameters
-    ----------
-    rows:
-        ``(r, width)`` matrix of DP rows that *include* the Bernoullis
-        being removed.
-    ps:
-        One probability per row, each ``< 1``.
-
-    Returns
-    -------
-    numpy.ndarray
-        New ``(r, width)`` matrix; inputs are not modified.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    ps = np.asarray(ps, dtype=np.float64)
-    if rows.ndim != 2 or ps.shape != (rows.shape[0],):
-        raise ValueError("rows must be (r, width) with one probability per row")
-    if ps.size and (ps.min() < 0.0 or ps.max() >= 1.0):
-        raise ValueError("fold-out requires probabilities in [0, 1)")
-    q = (1.0 - ps)[:, None]
-    p = ps[:, None]
-    out = np.empty_like(rows)
-    out[:, 0] = rows[:, 0] / q[:, 0]
-    for omega in range(1, rows.shape[1]):
-        out[:, omega] = (rows[:, omega] - out[:, omega - 1] * p[:, 0]) / q[:, 0]
-    return out
-
-
-class IncrementalDegreePosterior:
-    """``X_v(ω)`` maintained across a sequence of candidate graphs.
-
-    Algorithm 2's attempts (and the σ probes around them) emit a stream
-    of candidate sets that overlap heavily in *structure* — the original
-    edge set always survives — even when most probabilities are redrawn.
-    Instead of rebuilding the whole posterior per attempt, this engine
-    diffs each new candidate set against the previous one at the pair
-    level and touches only vertices with a changed incident entry:
-
-    * vertices whose incident ``(pair, probability)`` multiset is
-      unchanged keep their cached PMF row untouched;
-    * changed vertices are recomputed through the same staircase/CLT
-      passes as :func:`degree_posterior_matrix`.  Those passes are
-      row-independent (see :func:`_segment_moments`), so the selective
-      update is **bit-identical** to a full recompute — the property the
-      seed-equivalence tests of the array engine rely on;
-    * with ``fold=True``, a changed vertex whose diff is small gets its
-      removed Bernoullis folded *out* of the cached row
-      (:func:`fold_out_bernoulli`) and the added ones folded back in —
-      O(width) per changed entry instead of O(ℓ·width) per row — at the
-      cost of ≤1e-12 drift, pinned by the oracle tests.  Rows whose
-      removed entries exceed :data:`FOLD_OUT_MAX_P`, or that enter or
-      leave the exact bucket, are recomputed regardless.
-
-    The returned matrix is owned by the engine and valid until the next
-    update; callers that need persistence must copy.
-    """
-
-    def __init__(
-        self, n: int, *, width: int, method: str = "auto", fold: bool = False
-    ):
-        if n < 0:
-            raise ValueError(f"number of vertices must be non-negative, got {n}")
-        if width < 1:
-            raise ValueError(f"width must be positive, got {width}")
-        if method not in ("auto", "exact", "normal"):
-            raise ValueError(f"unknown method {method!r}; use exact/normal/auto")
-        self._n = int(n)
-        self._width = int(width)
-        self._method = method
-        self._fold = bool(fold)
-        self._codes: np.ndarray | None = None  # sorted pair codes
-        self._ps: np.ndarray | None = None  # aligned probabilities
-        self._counts: np.ndarray | None = None  # per-vertex incident counts
-        self._indptr: np.ndarray | None = None  # canonical incidence CSR
-        self._data: np.ndarray | None = None
-        self._X: np.ndarray | None = None
-        #: Update accounting: full rebuilds, rows left untouched, rows
-        #: recomputed, rows updated via fold-out/fold-in.
-        self.stats = {"full": 0, "skipped": 0, "recomputed": 0, "folded": 0}
-
-    @property
-    def matrix(self) -> np.ndarray | None:
-        """The current ``(n, width)`` X matrix (``None`` before any update)."""
-        return self._X
-
-    def update(self, uncertain) -> np.ndarray:
-        """Convenience wrapper: update from an UncertainGraph's pair arrays."""
-        us, vs, ps = uncertain.pair_arrays()
-        return self.update_from_pairs(us, vs, ps)
-
-    def update_from_pairs(
-        self,
-        us: np.ndarray,
-        vs: np.ndarray,
-        ps: np.ndarray,
-        *,
-        codes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Advance the engine to the candidate set ``(us, vs, ps)``.
-
-        Parameters
-        ----------
-        us, vs:
-            Pair endpoints (any order; normalised internally).
-        ps:
-            Pair probabilities in [0, 1]; ``p = 0`` entries are kept, as
-            Algorithm 2's ``keep_zero`` bookkeeping does.
-        codes:
-            Optional precomputed sorted codes ``u·n + v`` (with
-            ``u < v``, strictly increasing) aligned with ``us``/``vs``/
-            ``ps`` — the array candidate builder already has them.
-
-        Returns
-        -------
-        numpy.ndarray
-            The ``(n, width)`` posterior matrix after the update.
-        """
-        n = self._n
-        if codes is None:
-            us = np.ascontiguousarray(us, dtype=np.int64).ravel()
-            vs = np.ascontiguousarray(vs, dtype=np.int64).ravel()
-            lo = np.minimum(us, vs)
-            hi = np.maximum(us, vs)
-            codes = lo * np.int64(n) + hi
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
-            us, vs = lo[order], hi[order]
-            ps = np.ascontiguousarray(ps, dtype=np.float64).ravel()[order]
-        else:
-            codes = np.asarray(codes, dtype=np.int64)
-            us = np.asarray(us, dtype=np.int64)
-            vs = np.asarray(vs, dtype=np.int64)
-            ps = np.asarray(ps, dtype=np.float64)
-        if not (len(us) == len(vs) == len(ps) == len(codes)):
-            raise ValueError("us/vs/ps/codes must have equal lengths")
-        if codes.size:
-            if np.any(np.diff(codes) <= 0):
-                raise ValueError("pair codes must be strictly increasing")
-            if (us == vs).any():
-                raise ValueError("pairs must have distinct endpoints")
-            if us.min() < 0 or vs.max() >= n:
-                raise ValueError(f"vertex ids must lie in [0, {n})")
-            if not ((ps >= 0.0) & (ps <= 1.0)).all():
-                raise ValueError("probabilities must lie in [0, 1]")
-
-        # Canonical incidence CSR — same layout (and hence the same
-        # per-vertex fold order) as incident_probability_csr().
-        counts, indptr, data = _incidence_csr(n, us, vs, ps)
-
-        if self._X is None:
-            self._X = degree_posterior_matrix(
-                indptr, data, method=self._method, width=self._width
-            )
-            self.stats["full"] += 1
-            _INC_FULL.add(1)
-        elif np.array_equal(codes, self._codes):
-            # Identical pair structure: the diff is a plain elementwise
-            # probability comparison, no merge needed.
-            diff = np.flatnonzero(self._ps != ps)
-            if diff.size:
-                self._update_changed(
-                    codes[diff], self._ps[diff], codes[diff], ps[diff],
-                    counts, indptr, data,
-                )
-            else:
-                self.stats["skipped"] += n
-                _INC_SKIPPED.add(n)
-        elif self._mostly_changed(codes, ps):
-            self._X = degree_posterior_matrix(
-                indptr, data, method=self._method, width=self._width, out=self._X
-            )
-            self.stats["full"] += 1
-            _INC_FULL.add(1)
-        else:
-            rem_codes, rem_ps, add_codes, add_ps = self._diff_pairs(codes, ps)
-            self._update_changed(
-                rem_codes, rem_ps, add_codes, add_ps, counts, indptr, data
-            )
-        self._codes, self._ps = codes, ps
-        self._counts, self._indptr, self._data = counts, indptr, data
-        return self._X
-
-    # ------------------------------------------------------------------
-    # diff machinery
-    # ------------------------------------------------------------------
-    def _mostly_changed(self, codes, ps) -> bool:
-        """Subsample shortcut: when no sampled pair carried over with an
-        identical probability, skip the merge bookkeeping and rebuild in
-        one pass.  Purely a heuristic — a full rebuild is bit-identical
-        to a selective recompute, so a wrong guess costs time, never
-        correctness."""
-        old_codes, old_ps = self._codes, self._ps
-        if not len(old_codes) or not len(codes):
-            return True
-        step = max(len(codes) // 32, 1)
-        sample, sample_ps = codes[::step], ps[::step]
-        pos = np.minimum(
-            np.searchsorted(old_codes, sample), len(old_codes) - 1
-        )
-        carried = (old_codes[pos] == sample) & (old_ps[pos] == sample_ps)
-        return not carried.any()
-
-    def _diff_pairs(self, codes, ps):
-        """Symmetric difference vs the previous pair list.
-
-        An entry counts as *carried* only when both its code and its
-        probability are bit-equal; everything else becomes a removed
-        (old) and/or added (new) entry.
-        """
-        old_codes, old_ps = self._codes, self._ps
-        pos = np.searchsorted(old_codes, codes)
-        pos_clip = np.minimum(pos, max(len(old_codes) - 1, 0))
-        if len(old_codes):
-            in_old = (pos < len(old_codes)) & (old_codes[pos_clip] == codes)
-            carried = in_old & (old_ps[pos_clip] == ps)  # bit-equal probability
-        else:
-            carried = np.zeros(len(codes), dtype=bool)
-        added = ~carried
-        matched_old = np.zeros(len(old_codes), dtype=bool)
-        matched_old[pos_clip[carried]] = True
-        removed = ~matched_old
-        return old_codes[removed], old_ps[removed], codes[added], ps[added]
-
-    def _update_changed(
-        self, rem_codes, rem_ps, add_codes, add_ps, counts, indptr, data
-    ) -> None:
-        n = self._n
-        changed = np.zeros(n, dtype=bool)
-        for side in (rem_codes // n, rem_codes % n, add_codes // n, add_codes % n):
-            changed[side] = True
-        n_changed = int(changed.sum())
-        self.stats["skipped"] += n - n_changed
-        _INC_SKIPPED.add(n - n_changed)
-        if n_changed == 0:
-            return
-
-        fold_mask = np.zeros(n, dtype=bool)
-        if self._fold:
-            fold_mask = self._fold_eligible(
-                changed, counts, rem_codes, rem_ps, add_codes
-            )
-            if fold_mask.any():
-                self._fold_rows(fold_mask, rem_codes, rem_ps, add_codes, add_ps)
-                self.stats["folded"] += int(fold_mask.sum())
-                _INC_FOLDED.add(int(fold_mask.sum()))
-
-        recompute = np.flatnonzero(changed & ~fold_mask)
-        if recompute.size:
-            sub_counts = counts[recompute]
-            sub_indptr = np.zeros(len(recompute) + 1, dtype=np.int64)
-            np.cumsum(sub_counts, out=sub_indptr[1:])
-            sub_data = data[multi_range(indptr[recompute], sub_counts)]
-            self._X[recompute] = degree_posterior_matrix(
-                sub_indptr, sub_data, method=self._method, width=self._width
-            )
-            self.stats["recomputed"] += len(recompute)
-            _INC_RECOMPUTED.add(len(recompute))
-
-    def _fold_eligible(self, changed, counts, rem_codes, rem_ps, add_codes):
-        """Changed vertices whose diff is small, stable, and exact-bucket."""
-        n = self._n
-        rem_count = np.bincount(
-            np.concatenate([rem_codes // n, rem_codes % n]), minlength=n
-        )
-        add_count = np.bincount(
-            np.concatenate([add_codes // n, add_codes % n]), minlength=n
-        )
-        rem_maxp = np.zeros(n, dtype=np.float64)
-        if rem_codes.size:
-            ends = np.concatenate([rem_codes // n, rem_codes % n])
-            np.maximum.at(rem_maxp, ends, np.concatenate([rem_ps, rem_ps]))
-        if self._method == "exact":
-            exactable = np.ones(n, dtype=bool)
-        elif self._method == "normal":
-            exactable = np.zeros(n, dtype=bool)
-        else:
-            exactable = (counts <= AUTO_EXACT_LIMIT) & (
-                self._counts <= AUTO_EXACT_LIMIT
-            )
-        return (
-            changed
-            & exactable
-            & (rem_maxp <= FOLD_OUT_MAX_P)
-            & (rem_count + add_count < counts)
-        )
-
-    def _fold_rows(self, fold_mask, rem_codes, rem_ps, add_codes, add_ps) -> None:
-        """Fold removed entries out of, and added entries into, cached rows."""
-        vertices = np.flatnonzero(fold_mask)
-        index_of = np.full(self._n, -1, dtype=np.int64)
-        index_of[vertices] = np.arange(len(vertices))
-        rows = self._X[vertices]
-        for entry_codes, entry_ps, op in (
-            (rem_codes, rem_ps, fold_out_bernoulli),
-            (add_codes, add_ps, fold_in_bernoulli),
-        ):
-            ends = np.concatenate([entry_codes // self._n, entry_codes % self._n])
-            probs = np.concatenate([entry_ps, entry_ps])
-            keep = fold_mask[ends]
-            ends, probs = ends[keep], probs[keep]
-            if not len(ends):
-                continue
-            rows_idx = index_of[ends]
-            # Staircase over the ragged per-vertex entry lists: vertices
-            # sorted by descending entry count form a shrinking prefix.
-            group_counts = np.bincount(rows_idx, minlength=len(vertices))
-            order = np.argsort(-group_counts, kind="stable")
-            seg_start = np.zeros(len(vertices), dtype=np.int64)
-            np.cumsum(group_counts[order][:-1], out=seg_start[1:])
-            entry_order = np.argsort(
-                np.argsort(order, kind="stable")[rows_idx], kind="stable"
-            )
-            probs = probs[entry_order]
-            sorted_counts = group_counts[order]
-            for step in range(int(sorted_counts.max(initial=0))):
-                k = int(np.searchsorted(-sorted_counts, -(step + 1), side="right"))
-                target = order[:k]
-                rows[target] = op(rows[target], probs[seg_start[:k] + step])
-        self._X[vertices] = rows

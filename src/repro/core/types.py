@@ -45,26 +45,16 @@ class ObfuscationParams:
         ``σ(e) = σ``, isolating how much the uniqueness targeting buys.
     engine:
         Algorithm-2 execution engine.  ``"array"`` (default) builds the
-        candidate set with vectorised toggling and reuses the
-        incremental posterior engine across attempts; ``"sequential"``
-        is the per-draw Python loop kept as pinned ground truth.  Both
-        consume the identical RNG stream, so a fixed seed produces the
-        same candidate sets, obfuscations and search traces on either.
-    stream:
-        Source of the per-pair perturbation randomness.
-        ``"pair_keyed"`` (default) derives every ``r_e ~ R_σ(e)`` — and
-        the white-noise coin and value — from a counter-based substream
-        keyed by the pair code, via one inverse-CDF pass: a pair's draw
-        is a pure function of ``(master key, pair code, σ)``, so pairs
-        shared between attempts keep bit-equal probabilities and the
-        incremental posterior's fold path carries the Definition-2
-        check.  ``"attempt"`` is the historical mode — every attempt
-        redraws all pairs from the shared sequential stream — retained
-        as pinned ground truth, bit-identical to the pre-substream
-        engine at a fixed seed.  The two modes consume different
-        streams (a documented stream change) but are both
-        deterministic, and both are engine-independent: ``"array"`` and
-        ``"sequential"`` agree under either stream.
+        candidate sets with vectorised toggling and checks all of a
+        probe's attempts in one stacked base/fold posterior pass;
+        ``"sequential"`` is the per-draw Python loop kept as pinned
+        ground truth.  Both consume the identical RNG stream, so a fixed
+        seed produces the same candidate sets, obfuscations and search
+        traces on either.  Every pair's perturbation ``r_e ~ R_σ(e)``
+        (and its white-noise coin and value) comes from a counter-based
+        substream keyed by the pair code, so it is a pure function of
+        ``(master key, pair code, σ)`` and pairs shared between attempts
+        keep bit-equal probabilities.
     """
 
     k: float
@@ -78,7 +68,6 @@ class ObfuscationParams:
     delta: float = 1e-3
     weighting: str = "uniqueness"
     engine: str = "array"
-    stream: str = "pair_keyed"
 
     def __post_init__(self):
         if self.k < 1:
@@ -95,6 +84,10 @@ class ObfuscationParams:
             raise ValueError("need 0 < sigma_init <= sigma_max")
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        if self.method not in ("exact", "normal", "auto"):
+            raise ValueError(
+                f"method must be 'exact', 'normal' or 'auto', got {self.method!r}"
+            )
         if self.weighting not in ("uniqueness", "uniform"):
             raise ValueError(
                 f"weighting must be 'uniqueness' or 'uniform', got {self.weighting!r}"
@@ -102,10 +95,6 @@ class ObfuscationParams:
         if self.engine not in ("array", "sequential"):
             raise ValueError(
                 f"engine must be 'array' or 'sequential', got {self.engine!r}"
-            )
-        if self.stream not in ("pair_keyed", "attempt"):
-            raise ValueError(
-                f"stream must be 'pair_keyed' or 'attempt', got {self.stream!r}"
             )
 
 
@@ -126,14 +115,13 @@ class GenerationOutcome:
     honest denominator for Table-3 throughput accounting.
 
     ``rows_folded`` / ``rows_recomputed`` report posterior fold-path
-    coverage: of the ``n × attempts`` degree-PMF rows the Definition-2
-    checks needed, how many were served incrementally (cached row kept,
-    or updated by fold-out/fold-in of its changed entries) versus
-    recomputed through the full staircase/CLT passes (full rebuilds
-    count all ``n`` rows).  The sequential engine recomputes everything
-    by construction, so its ``rows_folded`` is always 0 — the counters
-    are how benchmarks assert the ``pair_keyed`` stream actually keeps
-    the incremental path hot.
+    coverage: of the ``n`` degree-PMF rows each evaluated attempt's
+    Definition-2 check needed, how many the array engine served from
+    the probe's cached base rows plus a fold-in of the attempt's
+    additions, versus recomputed (CLT rows, and exact rows that lost an
+    edge to candidate toggling).  The sequential engine recomputes
+    every row by construction, so its ``rows_folded`` is always 0 — the
+    counters are how benchmarks assert the fold path stays hot.
     """
 
     eps_achieved: float
@@ -188,8 +176,8 @@ class ObfuscationResult:
         Posterior fold-path coverage summed over all probes (see
         :class:`GenerationOutcome`);
         ``rows_folded / (rows_folded + rows_recomputed)`` is the
-        fraction of degree-PMF rows the incremental engine served
-        without a full recompute.
+        fraction of degree-PMF rows the base/fold path served without a
+        recompute.
     elapsed_seconds:
         Wall-clock time of the whole search.
     """
@@ -218,7 +206,7 @@ class ObfuscationResult:
 
     @property
     def fold_fraction(self) -> float:
-        """Fraction of posterior rows served by the incremental path."""
+        """Fraction of posterior rows served by the base/fold path."""
         total = self.rows_folded + self.rows_recomputed
         if total == 0:
             return 0.0

@@ -185,9 +185,9 @@ def redistribute_sigma_invariant(
     :func:`redistribute_sigma` normalises by the *realised* mean
     uniqueness of the candidate set, so a pair's σ(e) shifts whenever
     any other pair enters or leaves ``E_C`` — which would re-randomise
-    every probability each attempt and starve the incremental
-    posterior.  The ``pair_keyed`` perturbation stream therefore
-    replaces the empirical normaliser with its expectation under the
+    every probability each attempt and defeat the array engine's
+    per-probe base rows.  Algorithm 2's pair-keyed perturbation draws
+    therefore replace the empirical normaliser with its expectation under the
     pair-sampling distribution, ``μ_Q = Σ_v Q(v)·U_σ(P(v))`` (endpoints
     are Q-i.i.d., so ``E[U_σ(e)] = μ_Q``): σ(e) becomes a pure function
     of the pair and σ, and the mean of σ(e) over the Q-sampled

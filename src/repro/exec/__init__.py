@@ -2,7 +2,7 @@
 
 The ROADMAP's "one execution layer" seam, landed: every engine that
 splits work into chunks (the Table-2 sweep grid, Table-4 world
-evaluation, Table-6 release streams, posterior row shards) now plans
+evaluation, Table-6 release streams) now plans
 through :class:`~repro.exec.plan.ChunkPlan` and dispatches through
 :class:`~repro.exec.executor.ChunkExecutor`, which runs the chunks
 serially or across a fork-based process pool — bit-identically either
@@ -20,7 +20,7 @@ Drivers expose the layer as ``--workers N`` (``repro stats``,
 ``repro compare``, ``python -m repro.experiments``,
 ``benchmarks/run_paper_scale.py``); library callers pass an executor
 to ``run_obfuscation_sweep`` / ``evaluate_utility`` /
-``BatchStatisticsEngine.evaluate_stream`` / ``degree_posterior_matrix_sharded``.
+``BatchStatisticsEngine.evaluate_stream``.
 """
 
 from repro.exec.executor import (
@@ -35,13 +35,11 @@ from repro.exec.plan import (
     ANF_REGISTER_STACK_BYTES,
     KEEP_MATRIX_BYTES,
     PACKED_DRAW_BYTES,
-    POSTERIOR_SLAB_BYTES,
     RELEASE_CHUNK_DEFAULT,
     SAMPLE_CHUNK_DEFAULT,
     Chunk,
     ChunkPlan,
     draw_rows_per_pass,
-    posterior_rows_chunk_size,
     world_eval_chunk_size,
 )
 from repro.exec.shm import SharedArrayPack, attach_shared
@@ -50,7 +48,6 @@ __all__ = [
     "ANF_REGISTER_STACK_BYTES",
     "KEEP_MATRIX_BYTES",
     "PACKED_DRAW_BYTES",
-    "POSTERIOR_SLAB_BYTES",
     "RELEASE_CHUNK_DEFAULT",
     "SAMPLE_CHUNK_DEFAULT",
     "Chunk",
@@ -64,6 +61,5 @@ __all__ = [
     "draw_rows_per_pass",
     "effective_workers",
     "make_executor",
-    "posterior_rows_chunk_size",
     "world_eval_chunk_size",
 ]

@@ -14,10 +14,10 @@ Before this module, three layers each carried their own ad-hoc
 They are now *pinned properties of this module* — including the PR-8
 ``>= 1`` clamp that keeps huge-``n`` graphs from computing a zero chunk
 size — and every consumer (the estimator, the release stream, the
-posterior row shards, the sweep grid) plans through one
-:class:`ChunkPlan` abstraction.  A plan is just the deterministic
-``[lo, hi)`` decomposition of ``total`` items; which *items* those are
-(worlds, releases, posterior rows, grid cells) is the caller's concern.
+sweep grid) plans through one :class:`ChunkPlan` abstraction.  A plan
+is just the deterministic ``[lo, hi)`` decomposition of ``total``
+items; which *items* those are (worlds, releases, grid cells) is the
+caller's concern.
 Plans never touch an RNG stream, so planning is trivially
 bit-stable: the same ``(total, chunk_size)`` always yields the same
 chunks, whichever backend executes them.
@@ -31,13 +31,11 @@ __all__ = [
     "ANF_REGISTER_STACK_BYTES",
     "KEEP_MATRIX_BYTES",
     "PACKED_DRAW_BYTES",
-    "POSTERIOR_SLAB_BYTES",
     "RELEASE_CHUNK_DEFAULT",
     "SAMPLE_CHUNK_DEFAULT",
     "Chunk",
     "ChunkPlan",
     "draw_rows_per_pass",
-    "posterior_rows_chunk_size",
     "world_eval_chunk_size",
 ]
 
@@ -52,9 +50,6 @@ KEEP_MATRIX_BYTES = 32 << 20
 
 #: Bound the float64 uniform transient of a packed keep-bit draw (~8 MB).
 PACKED_DRAW_BYTES = 8 << 20
-
-#: Bound one posterior row shard's ``(rows, width)`` float64 slab (~32 MB).
-POSTERIOR_SLAB_BYTES = 32 << 20
 
 #: Releases streamed per batch (the cross-release union working-set bound).
 RELEASE_CHUNK_DEFAULT = 32
@@ -80,11 +75,6 @@ def world_eval_chunk_size(
     return max(1, KEEP_MATRIX_BYTES // max(num_candidate_pairs, 1))
 
 
-def posterior_rows_chunk_size(width: int) -> int:
-    """Vertices per posterior row shard (bounds the per-shard X slab)."""
-    return max(1, POSTERIOR_SLAB_BYTES // max(width * 8, 1))
-
-
 def draw_rows_per_pass(num_candidate_pairs: int) -> int:
     """Worlds per uniform-draw pass in ``draw_packed_keep_bits``."""
     return max(1, PACKED_DRAW_BYTES // max(num_candidate_pairs, 1))
@@ -107,8 +97,8 @@ class Chunk:
 class ChunkPlan:
     """Deterministic decomposition of ``total`` items into bounded chunks.
 
-    ``kind`` is a label for telemetry ("worlds", "releases", "rows",
-    "cells", …); it does not affect the decomposition.  Iterating a plan
+    ``kind`` is a label for telemetry ("worlds", "releases", "cells",
+    …); it does not affect the decomposition.  Iterating a plan
     yields :class:`Chunk` objects in index order — the order every
     backend must preserve when reassembling results.
     """
@@ -158,15 +148,6 @@ class ChunkPlan:
             total,
             RELEASE_CHUNK_DEFAULT if chunk_size is None else chunk_size,
         )
-
-    @classmethod
-    def posterior_rows(
-        cls, total: int, *, width: int, chunk_size: int | None = None
-    ) -> "ChunkPlan":
-        """Posterior row-shard plan (bounds the per-shard slab)."""
-        if chunk_size is None:
-            chunk_size = posterior_rows_chunk_size(width)
-        return cls("rows", total, chunk_size)
 
     @classmethod
     def cells(cls, total: int) -> "ChunkPlan":

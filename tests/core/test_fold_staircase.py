@@ -1,10 +1,10 @@
 """Oracle pins for the stacked fold-in pass and split entropies (PR 5).
 
-``fold_in_staircase`` is the pair_keyed probe path's hot loop: each
+``fold_in_staircase`` is the array probe path's hot loop: each
 row's Bernoulli entries collapse into their product PMF and convolve
 into the warm row.  The oracle is the sequential
-:func:`repro.core.posterior_batch.fold_in_bernoulli` chain, which the
-PR-4 fold tests pin against the Lemma-1 DP itself.
+:func:`tests.oracles.fold.fold_in_bernoulli` chain, which
+``test_posterior_batch.py`` pins against the Lemma-1 DP itself.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from repro.core.obfuscation_check import (
     entropies_from_column_mass,
 )
 from repro.core.posterior_batch import (
-    fold_in_bernoulli,
     fold_in_staircase,
     poisson_binomial_pmf_batch,
 )
+from tests.oracles.fold import fold_in_bernoulli
 
 
 def _sequential_fold(rows: np.ndarray, indptr, data) -> np.ndarray:

@@ -28,6 +28,7 @@ from repro.core.posterior_batch import (
     poisson_binomial_pmf_batch,
 )
 from repro.uncertain.graph import UncertainGraph
+from tests.oracles.fold import fold_in_bernoulli
 
 ATOL = 1e-12
 
@@ -84,6 +85,18 @@ class TestPoissonBinomialBatch:
             poisson_binomial_pmf_batch(np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError):
             poisson_binomial_pmf_batch(np.array([0.5, 0.5]))  # 1-D
+
+
+class TestFoldInOracle:
+    def test_fold_in_matches_batch_dp(self, rng):
+        """Folding the last addend into a finished row is bit-identical
+        to having included it in the DP from the start."""
+        P = rng.random((6, 9))
+        full = poisson_binomial_pmf_batch(P, support=9)
+        partial = poisson_binomial_pmf_batch(P[:, :-1], support=9)
+        np.testing.assert_array_equal(
+            fold_in_bernoulli(partial, P[:, -1]), full
+        )
 
 
 class TestNormalApproxBatch:
@@ -338,3 +351,71 @@ class TestVectorisedErf:
         cdf = np.array([0.5 * (1.0 + math.erf(x)) for x in edges])
         cdf[0], cdf[-1] = 0.0, 1.0
         np.testing.assert_allclose(pmf, np.diff(cdf), atol=tol, rtol=0)
+
+
+def _csr(n, us, vs, ps):
+    """Canonical incidence CSR of the *code-sorted* pair list."""
+    order = np.argsort(us * n + vs, kind="stable")
+    us, vs, ps = us[order], vs[order], ps[order]
+    endpoints = np.concatenate([us, vs])
+    dup = np.concatenate([ps, ps])
+    counts = np.bincount(endpoints, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, dup[np.argsort(endpoints, kind="stable")]
+
+
+def _random_pairs(rng, n, m):
+    codes = np.sort(rng.choice(n * (n - 1) // 2, size=m, replace=False))
+    # decode the triangular index
+    us = np.empty(m, dtype=np.int64)
+    vs = np.empty(m, dtype=np.int64)
+    for i, c in enumerate(codes.tolist()):
+        u = 0
+        while c >= n - 1 - u:
+            c -= n - 1 - u
+            u += 1
+        us[i], vs[i] = u, u + 1 + c
+    return us, vs
+
+
+class TestRowIndependence:
+    """Sub-CSR recompute == full compute, bit-for-bit, for every method.
+
+    The array probe path rebuilds only the rows that lost an edge to
+    candidate toggling, and relies on this to match a full pass.
+    """
+
+    @pytest.mark.parametrize("method", ["exact", "normal", "auto"])
+    def test_subset_rows_bit_identical(self, method, rng):
+        n = 40
+        us, vs = _random_pairs(rng, n, 150)
+        ps = rng.random(150)
+        indptr, data = _csr(n, us, vs, ps)
+        width = 12
+        full = degree_posterior_matrix(indptr, data, method=method, width=width)
+        subset = rng.choice(n, size=15, replace=False)
+        counts = np.diff(indptr)[subset]
+        sub_indptr = np.zeros(len(subset) + 1, dtype=np.int64)
+        np.cumsum(counts, out=sub_indptr[1:])
+        sub_data = np.concatenate(
+            [data[indptr[v] : indptr[v] + c] for v, c in zip(subset, counts)]
+        ) if counts.sum() else np.empty(0)
+        rows = degree_posterior_matrix(
+            sub_indptr, sub_data, method=method, width=width
+        )
+        np.testing.assert_array_equal(rows, full[subset])
+
+    def test_streamed_addend_path_bit_identical(self, rng, monkeypatch):
+        """Above the dense-pad budget (forced-exact on skewed graphs)
+        the DP streams addend columns from the CSR — same bits."""
+        import repro.core.posterior_batch as pb
+
+        n = 40
+        us, vs = _random_pairs(rng, n, 180)
+        ps = rng.random(180)
+        indptr, data = _csr(n, us, vs, ps)
+        dense = degree_posterior_matrix(indptr, data, method="exact", width=10)
+        monkeypatch.setattr(pb, "_DENSE_ADDEND_BUDGET", 0)
+        streamed = degree_posterior_matrix(indptr, data, method="exact", width=10)
+        np.testing.assert_array_equal(streamed, dense)

@@ -8,13 +8,8 @@ parallelism must never be observable in the numbers.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.posterior_batch import (
-    degree_posterior_matrix,
-    degree_posterior_matrix_sharded,
-)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.graphs.generators import barabasi_albert
@@ -37,36 +32,6 @@ from tests.exec.equivalence import (
 def uncertain():
     """~60 vertices, 200 candidate pairs — real structure, fast worlds."""
     return random_uncertain(60, 200, seed=7)
-
-
-class TestPosteriorRows:
-    def test_row_shards_match_monolithic(self, uncertain):
-        indptr, data = uncertain.incident_probability_csr()
-
-        def build(executor):
-            if executor is None:
-                return degree_posterior_matrix(indptr, data)
-            return degree_posterior_matrix_sharded(
-                indptr, data, executor=executor, chunk_size=7
-            )
-
-        matrix = assert_seed_equivalent(build, np.array_equal)
-        assert matrix.shape[0] == uncertain.num_vertices
-
-    def test_width_is_resolved_globally(self, uncertain):
-        # a shard whose local max addend count is below the global width
-        # must still emit global-width rows (zero-padded tail)
-        indptr, data = uncertain.incident_probability_csr()
-        with_width = degree_posterior_matrix(indptr, data, width=40)
-
-        def build(executor):
-            if executor is None:
-                return with_width
-            return degree_posterior_matrix_sharded(
-                indptr, data, executor=executor, width=40, chunk_size=5
-            )
-
-        assert_seed_equivalent(build, np.array_equal)
 
 
 class TestWorldStatistics:

@@ -10,13 +10,11 @@ from repro.exec.plan import (
     ANF_REGISTER_STACK_BYTES,
     KEEP_MATRIX_BYTES,
     PACKED_DRAW_BYTES,
-    POSTERIOR_SLAB_BYTES,
     RELEASE_CHUNK_DEFAULT,
     SAMPLE_CHUNK_DEFAULT,
     Chunk,
     ChunkPlan,
     draw_rows_per_pass,
-    posterior_rows_chunk_size,
     world_eval_chunk_size,
 )
 
@@ -73,10 +71,6 @@ class TestChunkPlan:
             1000, 5000, anf=True
         )
 
-    def test_posterior_plan_auto_matches_rule(self):
-        plan = ChunkPlan.posterior_rows(10_000, width=200)
-        assert plan.chunk_size == posterior_rows_chunk_size(200)
-
 
 class TestAutoRules:
     def test_world_eval_anf_bounds_register_stack(self):
@@ -95,12 +89,6 @@ class TestAutoRules:
         # the PR-8 regression: a zero chunk size on paper-scale n
         assert world_eval_chunk_size(10**9, 10**12, anf=True) == 1
         assert world_eval_chunk_size(10**9, 10**12, anf=False) == 1
-
-    def test_posterior_rows_bounds_slab(self):
-        width = 5000
-        size = posterior_rows_chunk_size(width)
-        assert size == POSTERIOR_SLAB_BYTES // (width * 8)
-        assert posterior_rows_chunk_size(10**12) == 1
 
     def test_draw_rows_bounds_uniform_transient(self):
         m = 123_456

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.types import ObfuscationParams, ObfuscationResult
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.uncertain.io import read_uncertain_graph
@@ -71,23 +72,38 @@ class TestObfuscate:
         assert code == 0
         assert "sigma=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("stream", ["pair_keyed", "attempt"])
-    def test_stream_flag(self, graph_file, tmp_path, stream):
-        out = tmp_path / f"r_{stream}.txt"
+    @pytest.mark.parametrize(
+        "c,ladder",
+        [("2", (2.0, 3.0, 5.0)), ("3", (3.0, 5.0)), ("5", (5.0,))],
+    )
+    def test_escalate_c_only_escalates(
+        self, graph_file, tmp_path, monkeypatch, c, ladder
+    ):
+        seen = []
+
+        def fake_fallback(graph, k, eps, *, c_values, **kwargs):
+            seen.append(tuple(c_values))
+            return ObfuscationResult(
+                uncertain=None,
+                sigma=float("nan"),
+                eps_achieved=float("inf"),
+                params=ObfuscationParams(k=k, eps=eps, c=c_values[-1]),
+            )
+
+        monkeypatch.setattr("repro.cli.obfuscate_with_fallback", fake_fallback)
         code = main(
             [
                 "obfuscate",
                 "--input", str(graph_file),
-                "--output", str(out),
+                "--output", str(tmp_path / "x.txt"),
                 "--k", "2",
                 "--eps", "0.2",
-                "--attempts", "1",
-                "--delta", "0.05",
-                "--stream", stream,
+                "--c", c,
+                "--escalate-c",
             ]
         )
-        assert code == 0
-        assert read_uncertain_graph(str(out)).num_candidate_pairs > 0
+        assert code == 1
+        assert seen == [ladder]
 
     def test_bad_stream_rejected(self, graph_file, tmp_path):
         with pytest.raises(SystemExit):
@@ -98,7 +114,7 @@ class TestObfuscate:
                     "--output", str(tmp_path / "x.txt"),
                     "--k", "2",
                     "--eps", "0.2",
-                    "--stream", "per_edge",
+                    "--stream", "pair_keyed",
                 ]
             )
 

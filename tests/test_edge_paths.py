@@ -40,6 +40,10 @@ class TestSearchOptions:
         with pytest.raises(ValueError, match="weighting"):
             ObfuscationParams(k=2, eps=0.1, weighting="degreeish")
 
+    def test_invalid_method_rejected(self):
+        with pytest.raises(ValueError, match="method"):
+            ObfuscationParams(k=2, eps=0.1, method="exakt")
+
 
 class TestHarnessFailureCells:
     def test_table4_reports_nan_for_failed_cells(self):
