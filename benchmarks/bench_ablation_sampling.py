@@ -15,7 +15,8 @@ from conftest import emit
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.experiments.report import render_table
 from repro.graphs.triangles import clustering_coefficient
-from repro.stats.sampling import estimate_statistic, hoeffding_error_probability
+from repro.stats.sampling import hoeffding_error_probability
+from repro.worlds import estimate_statistic
 
 
 def test_ablation_sampling_error(benchmark, cache, config):

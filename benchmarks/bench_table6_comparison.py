@@ -15,16 +15,17 @@ randomization — the paper's driving claim.
 ``test_table6_comparison`` runs the calibrated protocol: for each
 matchup the baseline's p is chosen (from the paper's grid) as the
 smallest value whose release reaches the obfuscation cell's (k, ε)
-anonymity.  The baseline side runs on ``config.baseline_backend``
-(batched by default since the ``repro.worlds.releases`` engine).
+anonymity.  The baseline side runs on the ``repro.worlds.releases``
+engine.
 
 ``test_table6_baseline_equivalence`` and
-``test_table6_baseline_speedup`` pin the batched engine itself:
-equal seeds must give *identical* releases in both backends (rows
-within 1e-9) and the batched path must beat the sequential one
-end-to-end over the paper's 50 releases on the dblp surrogate (≥1.5×
-sanity floor; measured 2.0–6.6× depending on runner profile).
-Timings land in ``benchmarks/results/table6_speedup.csv``.
+``test_table6_baseline_speedup`` pin that engine against the
+one-release-at-a-time loop of ``tests/oracles/worlds.py``: equal seeds
+must give *identical* releases on both sides (rows within 1e-9) and the
+batched path must beat the sequential one end-to-end over the paper's
+50 releases on the dblp surrogate (≥1.5× sanity floor; measured
+2.0–6.6× depending on runner profile).  Timings land in
+``benchmarks/results/table6_speedup.csv``.
 
 Environment knobs:
 
@@ -34,7 +35,7 @@ Environment knobs:
 ``REPRO_BENCH_TABLE6_SAMPLES``  releases per scheme (default 50, the
                                 paper's count)
 
-Run with::
+Run from the repo root (the oracle is imported as ``tests.oracles``)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_table6_comparison.py -s
 """
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +59,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
 from repro.graphs.datasets import dblp_like
 from repro.stats.registry import PAPER_STATISTIC_NAMES
+
+from tests.oracles import worlds as oracle
 
 TABLE6_SCALE = float(os.environ.get("REPRO_BENCH_TABLE6_SCALE", 1.0))
 TABLE6_SAMPLES = int(os.environ.get("REPRO_BENCH_TABLE6_SAMPLES", 50))
@@ -83,13 +85,8 @@ def original_stats(graph):
     return {name: float(func(graph)) for name, func in stats.items()}
 
 
-def _configs() -> tuple[ExperimentConfig, ExperimentConfig]:
-    batched = ExperimentConfig(
-        baseline_samples=TABLE6_SAMPLES,
-        seed=SEED,
-        baseline_backend="batched",
-    )
-    return batched, replace(batched, baseline_backend="sequential")
+def _config() -> ExperimentConfig:
+    return ExperimentConfig(baseline_samples=TABLE6_SAMPLES, seed=SEED)
 
 
 def _assert_rows_match(batched_row: dict, sequential_row: dict) -> None:
@@ -104,23 +101,23 @@ def _assert_rows_match(batched_row: dict, sequential_row: dict) -> None:
 
 def test_table6_baseline_equivalence(graph, original_stats):
     """Same seed ⇒ same releases ⇒ same rows, calibration and anonymity."""
-    cfg_batched, cfg_sequential = _configs()
+    config = _config()
     for scheme, p in SCHEME_PS:
         _assert_rows_match(
-            baseline_utility_row(graph, scheme, p, cfg_batched, original=original_stats),
-            baseline_utility_row(graph, scheme, p, cfg_sequential, original=original_stats),
+            baseline_utility_row(graph, scheme, p, config, original=original_stats),
+            oracle.baseline_utility_row(graph, scheme, p, config, original=original_stats),
         )
         assert achieved_k(
-            graph, scheme, p, 0.05, releases=2, seed=SEED, backend="batched"
-        ) == achieved_k(
-            graph, scheme, p, 0.05, releases=2, seed=SEED, backend="sequential"
+            graph, scheme, p, 0.05, releases=2, seed=SEED
+        ) == oracle.achieved_k(
+            graph, scheme, p, 0.05, releases=2, seed=SEED
         ), scheme
     a, b = (
-        calibrate_randomization(
+        calibrate(
             graph, "sparsification", 3, 0.05, p_grid=(0.04, 0.32), releases=2,
-            seed=SEED, backend=backend,
+            seed=SEED,
         )
-        for backend in ("batched", "sequential")
+        for calibrate in (calibrate_randomization, oracle.calibrate_randomization)
     )
     assert (np.isnan(a) and np.isnan(b)) or a == b
 
@@ -130,14 +127,14 @@ def test_table6_baseline_speedup(graph, original_stats):
 
     The original graph's statistics are computed once and shared, exactly
     as ``table6_rows`` shares them across a dataset's rows, so the timing
-    isolates the release sampling + evaluation the backends differ on.
+    isolates the release sampling + evaluation the two sides differ on.
     """
-    cfg_batched, cfg_sequential = _configs()
+    config = _config()
 
     t0 = time.perf_counter()
     sequential_rows = [
-        baseline_utility_row(
-            graph, scheme, p, cfg_sequential, original=original_stats
+        oracle.baseline_utility_row(
+            graph, scheme, p, config, original=original_stats
         )
         for scheme, p in SCHEME_PS
     ]
@@ -146,7 +143,7 @@ def test_table6_baseline_speedup(graph, original_stats):
     t0 = time.perf_counter()
     batched_rows = [
         baseline_utility_row(
-            graph, scheme, p, cfg_batched, original=original_stats
+            graph, scheme, p, config, original=original_stats
         )
         for scheme, p in SCHEME_PS
     ]

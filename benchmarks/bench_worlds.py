@@ -3,11 +3,11 @@
 The headline perf claim of the :mod:`repro.worlds` engine: evaluating
 the full ten-statistic Table-4 family over 100 sampled possible worlds
 of an obfuscated dblp-like surrogate must beat the sequential
-world-by-world estimator end-to-end (≥1.5× sanity floor here — the
-absolute ratio is runner-profile-dependent, measured 1.7–6.9× across
-containers; ``perf_gate.py`` owns relative regressions), while
-remaining seed-equivalent (same worlds, values within 1e-9 — asserted
-inline on every invocation).  Timings land in
+world-by-world loop of ``tests/oracles/worlds.py`` end-to-end (≥1.5×
+sanity floor here — the absolute ratio is runner-profile-dependent,
+measured 1.7–6.9× across containers; ``perf_gate.py`` owns relative
+regressions), while remaining seed-equivalent (same worlds, values
+within 1e-9 — asserted inline on every invocation).  Timings land in
 ``benchmarks/results/worlds_speedup.csv``.
 
 Environment knobs:
@@ -17,7 +17,7 @@ Environment knobs:
 ``REPRO_BENCH_WORLDS``        worlds per run (default 100, the paper's
                               Table-4/5 sample size)
 
-Run with::
+Run from the repo root (the oracle is imported as ``tests.oracles``)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_worlds.py -s
 """
@@ -34,7 +34,9 @@ from repro.core.generate import generate_obfuscation
 from repro.core.types import ObfuscationParams
 from repro.graphs.datasets import dblp_like
 from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
-from repro.stats.sampling import WorldStatisticsEstimator
+from repro.worlds import WorldStatisticsEstimator
+
+from tests.oracles.worlds import world_statistics
 
 SCALE = float(os.environ.get("REPRO_BENCH_WORLDS_SCALE", 0.45))
 WORLDS = int(os.environ.get("REPRO_BENCH_WORLDS", 100))
@@ -49,20 +51,17 @@ def release():
     return generate_obfuscation(graph, 0.05, params, seed=SEED).uncertain
 
 
-def _estimator(release, backend: str) -> WorldStatisticsEstimator:
+def _run(release, backend: str, worlds: int) -> dict:
     stats = paper_statistics(distance_backend="anf", seed=SEED)
-    options = (
-        {"distance_backend": "anf", "distance_seed": SEED}
-        if backend == "batched"
-        else {}
-    )
-    return WorldStatisticsEstimator(release, stats, backend=backend, **options)
+    if backend == "sequential":
+        return world_statistics(release, stats, worlds=worlds, seed=SEED)
+    return WorldStatisticsEstimator(release, stats).run(worlds=worlds, seed=SEED)
 
 
 def test_equivalence_small(release):
     """Same seed ⇒ same worlds ⇒ same table values (10-world spot check)."""
-    sequential = _estimator(release, "sequential").run(worlds=10, seed=SEED)
-    batched = _estimator(release, "batched").run(worlds=10, seed=SEED)
+    sequential = _run(release, "sequential", 10)
+    batched = _run(release, "batched", 10)
     for name in PAPER_STATISTIC_NAMES:
         np.testing.assert_allclose(
             batched[name].values,
@@ -76,11 +75,11 @@ def test_equivalence_small(release):
 def test_speedup_full_table4(release):
     """Batched must beat sequential on the paper-sized 100-world run."""
     t0 = time.perf_counter()
-    sequential = _estimator(release, "sequential").run(worlds=WORLDS, seed=SEED)
+    sequential = _run(release, "sequential", WORLDS)
     t_seq = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    batched = _estimator(release, "batched").run(worlds=WORLDS, seed=SEED)
+    batched = _run(release, "batched", WORLDS)
     t_bat = time.perf_counter() - t0
 
     for name in PAPER_STATISTIC_NAMES:

@@ -43,7 +43,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.experiments.report import save_csv
 from repro.obs import REGISTRY
-from repro.worlds.estimator import BatchedWorldStatisticsEstimator
+from repro.worlds.estimator import WorldStatisticsEstimator
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -111,8 +111,8 @@ def main() -> int:
         # --- World statistics: serial vs sharded chunks -----------------
         entry = next(e for e in serial_sweep if e.result.success)
         unc = entry.result.uncertain
-        serial_est = BatchedWorldStatisticsEstimator(unc, distance_seed=0)
-        sharded_est = BatchedWorldStatisticsEstimator(
+        serial_est = WorldStatisticsEstimator(unc, distance_seed=0)
+        sharded_est = WorldStatisticsEstimator(
             unc, distance_seed=0, executor=ex
         )
         t0 = time.perf_counter()

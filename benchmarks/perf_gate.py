@@ -228,7 +228,7 @@ def exec_speedup(rounds: int = 3, workers: int = 2) -> int:
     from repro.core.search import obfuscate
     from repro.exec import ChunkExecutor
     from repro.graphs.datasets import dblp_like
-    from repro.worlds.estimator import BatchedWorldStatisticsEstimator
+    from repro.worlds.estimator import WorldStatisticsEstimator
 
     graph = dblp_like(scale=0.15, seed=0)
     release = obfuscate(graph, k=10, eps=0.1, seed=0, attempts=2, delta=0.05)
@@ -239,9 +239,9 @@ def exec_speedup(rounds: int = 3, workers: int = 2) -> int:
     def run(estimator):
         return estimator.run(worlds=worlds, seed=seed)
 
-    serial = BatchedWorldStatisticsEstimator(unc, distance_seed=0)
+    serial = WorldStatisticsEstimator(unc, distance_seed=0)
     with ChunkExecutor(backend="process", workers=workers) as ex:
-        sharded = BatchedWorldStatisticsEstimator(
+        sharded = WorldStatisticsEstimator(
             unc, distance_seed=0, executor=ex
         )
         out_serial = run(serial)  # warm-up + reference values

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from repro import obfuscate, read_uncertain_graph, write_uncertain_graph
 from repro.graphs import affiliation_graph
-from repro.stats import WorldStatisticsEstimator, paper_statistics
+from repro.stats import paper_statistics
+from repro.worlds import WorldStatisticsEstimator
 
 K, EPS = 20, 0.05
 

@@ -21,13 +21,13 @@ from repro.graphs import y360_like
 from repro.stats import (
     average_distance,
     effective_diameter,
-    estimate_statistic,
     expected_average_degree,
     expected_num_edges,
     hoeffding_sample_size,
 )
 from repro.graphs.triangles import clustering_coefficient
 from repro.uncertain import WorldSampler
+from repro.worlds import estimate_statistic
 
 
 def main() -> None:

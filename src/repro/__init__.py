@@ -21,7 +21,7 @@ Subpackages
 ``repro.worlds``     batched possible-world engine (§6 utility evaluation)
 ``repro.core``       the paper's obfuscation algorithms (§3–§5)
 ``repro.baselines``  random sparsification/perturbation comparators (§7.3)
-``repro.stats``      utility statistics and sampling estimators (§6)
+``repro.stats``      utility statistics and Hoeffding bounds (§6)
 ``repro.anf``        HyperANF / HyperLogLog distance substrate
 ``repro.attacks``    extensions: degree-trail attack, belief measure
 ``repro.experiments`` table/figure harness behind the benchmarks

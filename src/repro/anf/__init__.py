@@ -4,11 +4,7 @@ from repro.anf.distance_stats import (
     anf_distance_histogram,
     neighbourhood_function_to_histogram,
 )
-from repro.anf.hyperanf import (
-    NeighbourhoodFunction,
-    hyperanf,
-    hyperanf_edgewise,
-)
+from repro.anf.hyperanf import NeighbourhoodFunction, hyperanf
 from repro.anf.hyperloglog import (
     HyperLogLog,
     estimate_many,
@@ -23,7 +19,6 @@ __all__ = [
     "init_registers",
     "estimate_many",
     "hyperanf",
-    "hyperanf_edgewise",
     "NeighbourhoodFunction",
     "anf_distance_histogram",
     "neighbourhood_function_to_histogram",

@@ -22,7 +22,7 @@ with a neighbour that changed last step — is recomputed per step, and
 per-row cardinality estimates are cached so the ``N(t)`` bookkeeping
 touches changed rows only.  Registers, ``N(t)`` values and convergence
 step are identical to the original edge-wise ``np.maximum.at`` sweep,
-which survives as :func:`hyperanf_edgewise` — the pinned ground truth.
+which the tests keep as the pinned ground truth.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def hyperanf(
     Returns
     -------
     NeighbourhoodFunction
-        Identical to :func:`hyperanf_edgewise` output (pinned by the
+        Identical to the edge-wise sweep's output (pinned by the
         backport equivalence tests): the register max is exact in
         ``uint8``, a row can only change when a neighbour changed the
         step before (the frontier invariant), and per-row estimates are
@@ -152,40 +152,3 @@ def hyperanf(
     return NeighbourhoodFunction(
         values=np.asarray(values), converged_at=converged_at
     )
-
-
-def hyperanf_edgewise(
-    graph: Graph,
-    *,
-    b: int = 6,
-    seed: int = 0,
-    max_steps: int | None = None,
-) -> NeighbourhoodFunction:
-    """Original edge-wise HyperANF sweep (``np.maximum.at`` per step).
-
-    Pinned ground truth for the degree-grouped frontier kernel of
-    :func:`hyperanf`; recomputes every row's merge and the full
-    ``N(t)`` estimate each step.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return NeighbourhoodFunction(values=np.zeros(1), converged_at=0)
-    if max_steps is None:
-        max_steps = n
-    regs = init_registers(n, b=b, seed=seed)
-    edges = graph.edge_array()
-    us, vs = edges[:, 0], edges[:, 1]
-
-    values = [float(estimate_many(regs).sum())]
-    step = 0
-    for step in range(1, max_steps + 1):
-        new = regs.copy()
-        if len(us):
-            np.maximum.at(new, us, regs[vs])
-            np.maximum.at(new, vs, regs[us])
-        if np.array_equal(new, regs):
-            step -= 1  # nothing changed this step
-            break
-        regs = new
-        values.append(float(estimate_many(regs).sum()))
-    return NeighbourhoodFunction(values=np.asarray(values), converged_at=step)

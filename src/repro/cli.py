@@ -44,9 +44,16 @@ from repro.obs import (
     write_manifest,
 )
 from repro.stats.registry import paper_statistics
-from repro.stats.sampling import WorldStatisticsEstimator
 from repro.uncertain.io import read_uncertain_graph, write_uncertain_graph
 from repro.uncertain.sampling import sample_world
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sample sizes: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", parents=[common], help="statistics of a release by sampling")
     p.add_argument("--release", required=True, help="uncertain-graph file")
-    p.add_argument("--worlds", type=int, default=100)
+    p.add_argument("--worlds", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--backend",
@@ -120,19 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="distance-statistic backend",
     )
     p.add_argument(
-        "--world-backend",
-        default="batched",
-        choices=("batched", "sequential"),
-        help=(
-            "world-sampling engine: 'batched' evaluates all worlds "
-            "through the repro.worlds multi-world kernels, 'sequential' "
-            "is the seed-equivalent one-world-at-a-time path"
-        ),
-    )
-    p.add_argument(
         "--workers", type=int, default=1,
-        help="processes for world evaluation (0 = all cores; batched "
-        "backend only; results are bit-identical at any worker count)",
+        help="processes for world evaluation (0 = all cores; results "
+        "are bit-identical at any worker count)",
     )
 
     p = sub.add_parser("sample", parents=[common], help="draw one possible world")
@@ -168,7 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=None, help="calibration target k")
     p.add_argument("--eps", type=float, default=None, help="calibration tolerance")
     p.add_argument(
-        "--samples", type=int, default=50, help="releases per scheme (paper: 50)"
+        "--samples", type=_positive_int, default=50,
+        help="releases per scheme (paper: 50)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -178,20 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="distance-statistic backend",
     )
     p.add_argument(
-        "--baseline-backend",
-        default="batched",
-        choices=("batched", "sequential"),
-        help=(
-            "release engine: 'batched' draws all releases as one "
-            "possible-world batch and measures them with the "
-            "repro.worlds kernels, 'sequential' is the seed-equivalent "
-            "one-release-at-a-time path"
-        ),
-    )
-    p.add_argument(
         "--workers", type=int, default=1,
-        help="processes for release evaluation (0 = all cores; batched "
-        "backend only; results are bit-identical at any worker count)",
+        help="processes for release evaluation (0 = all cores; results "
+        "are bit-identical at any worker count)",
     )
 
     p = sub.add_parser(
@@ -298,6 +285,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    # Imported lazily, as _cmd_compare imports the worlds engine.
+    from repro.worlds import WorldStatisticsEstimator
+
     release = read_uncertain_graph(args.release)
     print(
         f"loaded {args.release}: n={release.num_vertices} "
@@ -305,20 +295,12 @@ def _cmd_stats(args) -> int:
         f"E[edges]={release.expected_num_edges():.2f}"
     )
     stats = paper_statistics(distance_backend=args.backend, seed=args.seed)
-    backend_options = (
-        {"distance_backend": args.backend, "distance_seed": args.seed}
-        if args.world_backend == "batched"
-        else {}
-    )
     executor = None
-    if args.world_backend == "batched" and args.workers != 1:
+    if args.workers != 1:
         from repro.exec import make_executor
 
         executor = make_executor(args.workers)
-        backend_options["executor"] = executor
-    estimator = WorldStatisticsEstimator(
-        release, stats, backend=args.world_backend, **backend_options
-    )
+    estimator = WorldStatisticsEstimator(release, stats, executor=executor)
     try:
         summaries = estimator.run(worlds=args.worlds, seed=args.seed)
     finally:
@@ -353,13 +335,12 @@ def _cmd_compare(args) -> int:
         baseline_samples=args.samples,
         seed=args.seed,
         distance_backend=args.backend,
-        baseline_backend=args.baseline_backend,
     )
     rows = [original_row(graph, config)]
     import numpy as np
 
     executor = None
-    if args.baseline_backend == "batched" and args.workers != 1:
+    if args.workers != 1:
         from repro.exec import make_executor
 
         executor = make_executor(args.workers)
@@ -373,7 +354,6 @@ def _cmd_compare(args) -> int:
                     args.k,
                     args.eps,
                     seed=(args.seed, 17),
-                    backend=args.baseline_backend,
                 )
                 if np.isnan(p):
                     print(

@@ -15,16 +15,15 @@ The paper's comparative protocol (§7.3):
 over a ``p`` grid (the paper hand-picked from the same {0.04, 0.32,
 0.64} family).
 
-Backends: every release-sampling step runs on one of two seed-equivalent
-engines.  ``"batched"`` (the default) draws all releases of a scheme
-through :func:`repro.worlds.releases.sample_releases` and evaluates the
-ten statistics with the multi-world kernels of :mod:`repro.worlds` —
-the engine behind the minutes-scale full Table-6 sweep.
-``"sequential"`` is the pinned ground truth: one release at a time, one
-``Graph → float`` callable per statistic.  Both consume the identical
-RNG stream, so equal seeds give identical releases (edge-for-edge) and
-table rows that agree to ≤1e-9 (pinned by
-``tests/experiments/test_comparison_batched.py``).
+A randomized release is a distribution over possible worlds, so every
+release-sampling step runs on the :mod:`repro.worlds` engine: the
+releases of a scheme are drawn as world batches by
+:mod:`repro.worlds.releases` and measured by the same multi-world
+kernels that evaluate obfuscation worlds.  A one-release-at-a-time loop
+over :mod:`repro.baselines.randomization` consumes the identical RNG
+stream; it lives in ``tests/oracles/worlds.py``, and
+``tests/experiments/test_comparison_batched.py`` pins equal releases,
+equal ``achieved_k`` and calibration, and rows within 1e-9 against it.
 
 Per-scheme RNG streams are derived from ``zlib.crc32`` of the scheme
 name — a stable constant, unlike ``hash()``, which varies with
@@ -42,7 +41,6 @@ from repro.baselines.anonymity import (
     original_anonymity_levels,
     randomization_anonymity_levels_from_observed,
 )
-from repro.baselines.randomization import random_perturbation, random_sparsification
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import (
     SweepEntry,
@@ -62,17 +60,6 @@ _log = logging.getLogger("repro.experiments.comparison")
 #: Default calibration grid, containing the paper's hand-picked values.
 DEFAULT_P_GRID: tuple[float, ...] = (0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 0.9)
 
-#: Release-sampling engines accepted by every function below.
-BASELINE_BACKENDS = ("batched", "sequential")
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in BASELINE_BACKENDS:
-        raise ValueError(
-            f"unknown baseline backend {backend!r}; use batched/sequential"
-        )
-    return backend
-
 
 def scheme_stream(seed, scheme: str) -> np.random.Generator:
     """Per-scheme child RNG: root seed + a *stable* scheme constant.
@@ -84,14 +71,6 @@ def scheme_stream(seed, scheme: str) -> np.random.Generator:
     return as_rng((seed, zlib.crc32(scheme.encode())))
 
 
-def _sample_release(graph: Graph, scheme: str, p: float, rng) -> Graph:
-    if scheme == "sparsification":
-        return random_sparsification(graph, p, seed=rng)
-    if scheme == "perturbation":
-        return random_perturbation(graph, p, seed=rng)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def achieved_k(
     graph: Graph,
     scheme: str,
@@ -100,7 +79,6 @@ def achieved_k(
     *,
     releases: int = 3,
     seed=None,
-    backend: str = "batched",
 ) -> float:
     """Anonymity level a randomized scheme reaches at tolerance ε.
 
@@ -108,28 +86,18 @@ def achieved_k(
     anonymity after disregarding the ⌊ε·n⌋ least-anonymous vertices"
     (the skip index is clamped to the last vertex when ``ε·n ≥ n``).
 
-    With ``backend="batched"`` all releases are drawn in one
+    All releases are drawn in one
     :func:`~repro.worlds.releases.sample_releases` pass and their degree
     sequences come from one :func:`~repro.worlds.stats_batch.degree_matrix`
-    bincount — no per-release :class:`Graph` is materialised.  Values are
-    identical to the sequential path (same stream → same releases → same
-    entropy arithmetic).
+    bincount — no per-release :class:`Graph` is materialised.
     """
-    _check_backend(backend)
     rng = as_rng(seed)
     n = graph.num_vertices
     skip = int(np.floor(eps * n))
-    if backend == "batched":
-        observed_rows = degree_matrix(
-            sample_releases(graph, scheme, p, releases, seed=rng)
-        )
-    else:  # lazy: sampling stays interleaved with the entropy passes
-        observed_rows = (
-            _sample_release(graph, scheme, p, rng).degrees()
-            for _ in range(releases)
-        )
     values = []
-    for observed in observed_rows:
+    for observed in degree_matrix(
+        sample_releases(graph, scheme, p, releases, seed=rng)
+    ):
         levels = np.sort(
             randomization_anonymity_levels_from_observed(graph, observed, scheme, p)
         )
@@ -146,7 +114,6 @@ def calibrate_randomization(
     p_grid: tuple[float, ...] = DEFAULT_P_GRID,
     releases: int = 3,
     seed=None,
-    backend: str = "batched",
 ) -> float:
     """Smallest grid ``p`` whose release achieves anonymity ≥ k at tolerance ε.
 
@@ -154,17 +121,10 @@ def calibrate_randomization(
     Hay-et-al. regime where randomization cannot reach the target
     without destroying the graph).
     """
-    _check_backend(backend)
     rng = as_rng(seed)
     with span("calibrate_randomization", scheme=scheme, k=k) as sp:
         for p in p_grid:
-            if (
-                achieved_k(
-                    graph, scheme, p, eps, releases=releases, seed=rng,
-                    backend=backend,
-                )
-                >= k
-            ):
+            if achieved_k(graph, scheme, p, eps, releases=releases, seed=rng) >= k:
                 sp.set(p=p)
                 _log.info("calibrated %s to p=%g for k>=%g", scheme, p, k)
                 return p
@@ -187,21 +147,17 @@ def baseline_utility_row(
 ) -> dict:
     """Mean statistics over sampled releases + avg relative error vs original.
 
-    ``config.baseline_backend`` selects the engine: ``"batched"``
-    streams the ``config.baseline_samples`` releases through bounded
+    The ``config.baseline_samples`` releases stream through bounded
     :class:`~repro.worlds.batch.WorldBatch` chunks
     (:func:`~repro.worlds.releases.stream_releases`, so the full
     cross-release union edge list of high-``p`` perturbation never
-    materialises) and evaluates the ten paper statistics through the
-    multi-world kernels; ``"sequential"`` measures one materialised
-    release at a time.  Same seed ⇒ same releases ⇒ rows agreeing to
-    ≤1e-9.
+    materialises), and the ten paper statistics come from the
+    multi-world kernels.
 
     ``original`` lets callers that emit several rows for one dataset
     (``table6_rows``) reuse the original graph's statistics instead of
     recomputing an ANF/BFS pass per row.
     """
-    backend = _check_backend(config.baseline_backend)
     stats = paper_statistics(
         distance_backend=config.distance_backend, seed=config.seed
     )
@@ -211,23 +167,11 @@ def baseline_utility_row(
     with span(
         "baseline_utility", scheme=scheme, p=p, samples=config.baseline_samples
     ):
-        if backend == "batched":
-            values = BatchStatisticsEngine(stats).evaluate_stream(
-                stream_releases(
-                    graph, scheme, p, config.baseline_samples, seed=rng
-                ),
-                list(PAPER_STATISTIC_NAMES),
-                executor=executor,
-            )
-        else:
-            sums = {name: [] for name in PAPER_STATISTIC_NAMES}
-            for _ in range(config.baseline_samples):
-                released = _sample_release(graph, scheme, p, rng)
-                for name, func in stats.items():
-                    sums[name].append(float(func(released)))
-            values = {
-                name: np.asarray(sums[name]) for name in PAPER_STATISTIC_NAMES
-            }
+        values = BatchStatisticsEngine(stats).evaluate_stream(
+            stream_releases(graph, scheme, p, config.baseline_samples, seed=rng),
+            list(PAPER_STATISTIC_NAMES),
+            executor=executor,
+        )
     row: dict = {"variant": label or f"{scheme} p={p}"}
     rel = []
     for name in PAPER_STATISTIC_NAMES:
@@ -292,8 +236,7 @@ def table6_rows(
     ``paper_eps`` (the obfuscation cell to match) and optionally a fixed
     ``p``; when ``p`` is absent it is calibrated.  The default matchups
     are the paper's §7.3 cases, restricted to datasets present in the
-    sweep.  Baseline sampling and calibration run on
-    ``config.baseline_backend``.
+    sweep.
     """
     if matchups is None:
         # The paper's §7.3 cases, with one adaptation: its dblp
@@ -339,7 +282,6 @@ def table6_rows(
                 match["k"],
                 cell.eps_used,
                 seed=(config.seed, 17),
-                backend=config.baseline_backend,
             )
         if not np.isnan(p):
             row = baseline_utility_row(

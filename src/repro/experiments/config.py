@@ -69,26 +69,16 @@ class ExperimentConfig:
         Binary-search width; the paper's effective floor was 2⁻²⁴, ours
         is coarser by default to keep sweeps fast.
     worlds:
-        Possible worlds sampled for Tables 4–5 (paper: 100).
+        Possible worlds sampled for Tables 4–5 (paper: 100), at least 1.
+        :mod:`repro.worlds` samples and measures them.
     baseline_samples:
-        Releases sampled per randomized baseline for Table 6 (paper: 50).
+        Releases sampled per randomized baseline for Table 6 (paper: 50),
+        at least 1.  They are drawn as possible-world batches by
+        :mod:`repro.worlds.releases` and measured by the same kernels.
     seed:
         Root seed; every runner derives child streams from it.
     distance_backend:
         ``"anf"`` (paper-faithful), ``"sampled"``, or ``"exact"``.
-    world_backend:
-        World-sampling engine for Tables 4–5: ``"batched"`` (default —
-        the :mod:`repro.worlds` multi-world kernels) or
-        ``"sequential"`` (the one-world-at-a-time ground-truth path).
-        Both are seed-equivalent: same worlds, same table values.
-    baseline_backend:
-        Release-sampling engine for the Table-6 baselines:
-        ``"batched"`` (default — randomization releases drawn as one
-        :class:`~repro.worlds.batch.WorldBatch` via
-        :mod:`repro.worlds.releases` and measured by the multi-world
-        kernels) or ``"sequential"`` (one release at a time, the pinned
-        ground truth).  Both consume the identical RNG stream: same
-        releases edge-for-edge, rows within 1e-9.
     """
 
     datasets: tuple[str, ...] = ("dblp", "flickr", "y360")
@@ -104,10 +94,17 @@ class ExperimentConfig:
     baseline_samples: int = 50
     seed: int = 0
     distance_backend: str = "anf"
-    world_backend: str = "batched"
-    baseline_backend: str = "batched"
     dataset_seed: int = 0
     _graph_cache: dict = field(default_factory=dict, compare=False, hash=False)
+
+    def __post_init__(self):
+        # A mean over zero worlds or releases is an empty-slice NaN.
+        if self.worlds < 1:
+            raise ValueError(f"worlds must be >= 1, got {self.worlds}")
+        if self.baseline_samples < 1:
+            raise ValueError(
+                f"baseline_samples must be >= 1, got {self.baseline_samples}"
+            )
 
     def graph(self, dataset: str) -> Graph:
         """Load (and memoise) one surrogate graph."""

@@ -148,9 +148,9 @@ def figure4_data(
         curves[label] = cumulative_anonymity_curve(levels, k_grid)
     rng = as_rng((config.seed, 4))
     for scheme, p in baselines or []:
-        # One batched possible-world draw (stream-identical to the old
-        # per-release `_sample_release`) whose degree sequence feeds the
-        # vectorised anonymity pass — no published Graph materialised.
+        # One batched possible-world draw (stream-identical to one
+        # repro.baselines.randomization release) whose degree sequence
+        # feeds the vectorised anonymity pass — no Graph materialised.
         observed = degree_matrix(
             sample_releases(graph, scheme, p, 1, seed=rng)
         )[0]

@@ -21,9 +21,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.graphs.graph import Graph
 from repro.obs.trace import span
 from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
-from repro.stats.sampling import SampleSummary, WorldStatisticsEstimator
+from repro.stats.sampling import SampleSummary
 from repro.uncertain.graph import UncertainGraph
 from repro.utils.rng import spawn_seed_sequences
+from repro.worlds.estimator import WorldStatisticsEstimator
 
 _log = logging.getLogger("repro.experiments.harness")
 
@@ -350,9 +351,9 @@ def evaluate_utility(
 
     ``cache`` (keyed by (dataset, k, paper_eps)) lets Tables 4 and 5 —
     which report different views of the same 100-world sample — share one
-    sampling pass, as the paper's tables do.  ``executor`` (batched
-    backend only) shards world evaluation across processes — the parent
-    draws every world, so summaries stay bit-identical to serial.
+    sampling pass, as the paper's tables do.  ``executor`` shards world
+    evaluation across processes — the parent draws every world, so
+    summaries stay bit-identical to serial.
     ``checkpoint`` records each cell's raw per-world statistic values
     (exactly, via ``.npz``) and restores them on resume instead of
     re-sampling.
@@ -374,27 +375,17 @@ def evaluate_utility(
             if cache is not None:
                 cache[key] = summaries
             return summaries
-    stats = paper_statistics(
-        distance_backend=config.distance_backend, seed=config.seed
-    )
-    backend_options = (
-        # Mirror the registry configuration so the batched kernels
-        # compute exactly what the sequential callables would.
-        {"distance_backend": config.distance_backend, "distance_seed": config.seed}
-        if config.world_backend == "batched"
-        else {}
-    )
-    if executor is not None and config.world_backend == "batched":
-        backend_options["executor"] = executor
+    # The engine adopts the family's distance backend and seed.
     estimator = WorldStatisticsEstimator(
         entry.result.uncertain,
-        stats,
-        backend=config.world_backend,
-        **backend_options,
+        paper_statistics(
+            distance_backend=config.distance_backend, seed=config.seed
+        ),
+        executor=executor,
     )
     _log.info(
-        "utility %s k=%d: sampling %d worlds (%s backend)",
-        entry.dataset, entry.k, config.worlds, config.world_backend,
+        "utility %s k=%d: sampling %d worlds",
+        entry.dataset, entry.k, config.worlds,
     )
     with span(
         "evaluate_utility",

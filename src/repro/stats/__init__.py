@@ -26,8 +26,6 @@ from repro.stats.registry import (
 )
 from repro.stats.sampling import (
     SampleSummary,
-    WorldStatisticsEstimator,
-    estimate_statistic,
     hoeffding_error_probability,
     hoeffding_sample_size,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "diameter",
     "pairwise_distance_distribution",
     "SampleSummary",
-    "WorldStatisticsEstimator",
-    "estimate_statistic",
     "hoeffding_error_probability",
     "hoeffding_sample_size",
     "PAPER_STATISTIC_NAMES",

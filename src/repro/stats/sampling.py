@@ -1,4 +1,4 @@
-"""Possible-world sampling estimators with Hoeffding guarantees (§6.1).
+"""Hoeffding guarantees for possible-world sample means (§6.1).
 
 The expected value of a statistic over the exponential world space
 (Equation 8) is approximated by the average over ``r`` sampled worlds
@@ -8,25 +8,17 @@ The expected value of a statistic over the exponential world space
 
 for a statistic bounded in ``[a, b]``, and Corollary 1 inverts it into a
 sample-size rule.  Both are implemented here, together with
-:class:`WorldStatisticsEstimator`, the engine behind the paper's
+:class:`SampleSummary`, the per-statistic sample that
+:class:`repro.worlds.WorldStatisticsEstimator` returns for the paper's
 Tables 4–5 (sample means and SEMs of 10 statistics over 100 worlds).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.graphs.graph import Graph
-from repro.uncertain.graph import UncertainGraph
-from repro.uncertain.sampling import WorldSampler
-from repro.utils.rng import as_rng
-
-#: A scalar statistic of a certain graph.
-GraphStatistic = Callable[[Graph], float]
 
 
 def hoeffding_error_probability(
@@ -48,6 +40,14 @@ def hoeffding_sample_size(
     """Corollary 1: worlds needed for ``Pr(error ≥ ε) ≤ δ``.
 
     ``r ≥ ((b−a)/ε)² · ln(2/δ) / 2``.
+
+    Examples
+    --------
+    The §6.4 clustering-coefficient case, ``S_CC ∈ [0, 1]`` to ±0.1 with
+    95% confidence:
+
+    >>> hoeffding_sample_size(0.1, 0.05, 0.0, 1.0)
+    185
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -110,121 +110,3 @@ class SampleSummary:
         if reference == 0:
             return float("inf") if self.mean != 0 else 0.0
         return abs(self.mean - reference) / abs(reference)
-
-
-class WorldStatisticsEstimator:
-    """Evaluate a family of statistics over sampled possible worlds.
-
-    Parameters
-    ----------
-    uncertain:
-        The published uncertain graph.
-    statistics:
-        Mapping from statistic name to a ``Graph → float`` callable.
-
-    backend:
-        ``"sequential"`` (default) evaluates one world at a time;
-        ``"batched"`` delegates to
-        :class:`repro.worlds.BatchedWorldStatisticsEstimator`, which
-        draws the same worlds from the same RNG stream but evaluates the
-        paper-family statistics through vectorised multi-world kernels
-        (seed-equivalent: same worlds, same values to fp round-off).
-    backend_options:
-        Extra keyword arguments for the batched backend
-        (``distance_backend``, ``distance_seed``, ``chunk_size``, ...);
-        rejected for the sequential backend.
-
-    Examples
-    --------
-    >>> from repro.uncertain import UncertainGraph
-    >>> from repro.stats.degree import average_degree
-    >>> ug = UncertainGraph.from_pairs(4, [(0, 1, 0.5), (2, 3, 1.0)])
-    >>> est = WorldStatisticsEstimator(ug, {"S_AD": average_degree})
-    >>> summaries = est.run(worlds=64, seed=0)
-    >>> 0.5 < summaries["S_AD"].mean < 1.0   # E[S_AD] = 2*(1.5)/4 = 0.75
-    True
-    """
-
-    def __init__(
-        self,
-        uncertain: UncertainGraph,
-        statistics: Mapping[str, GraphStatistic],
-        *,
-        backend: str = "sequential",
-        **backend_options,
-    ):
-        if backend not in ("sequential", "batched"):
-            raise ValueError(
-                f"unknown backend {backend!r}; use sequential or batched"
-            )
-        if backend == "sequential" and backend_options:
-            raise ValueError(
-                "backend options "
-                f"{sorted(backend_options)} require backend='batched'"
-            )
-        self._backend = backend
-        self._delegate = None
-        if backend == "batched":
-            # Imported lazily: repro.worlds builds on this module.
-            from repro.worlds.estimator import BatchedWorldStatisticsEstimator
-
-            self._delegate = BatchedWorldStatisticsEstimator(
-                uncertain, statistics, **backend_options
-            )
-        self._sampler = WorldSampler(uncertain)
-        self._statistics = dict(statistics)
-
-    def run(
-        self, *, worlds: int, seed=None, collect_worlds: bool = False
-    ) -> dict[str, SampleSummary]:
-        """Sample ``worlds`` possible worlds and evaluate every statistic.
-
-        Parameters
-        ----------
-        worlds:
-            Sample size ``r``.
-        seed:
-            RNG seed/stream.
-        collect_worlds:
-            When true, sampled :class:`Graph` objects are retained on
-            ``self.last_worlds`` for reuse (e.g. vector statistics
-            computed alongside the scalars).
-
-        Returns
-        -------
-        dict[str, SampleSummary]
-        """
-        if worlds < 1:
-            raise ValueError(f"need at least one world, got {worlds}")
-        if self._delegate is not None:
-            summaries = self._delegate.run(
-                worlds=worlds, seed=seed, collect_worlds=collect_worlds
-            )
-            self.last_worlds = self._delegate.last_worlds
-            return summaries
-        rng = as_rng(seed)
-        values: dict[str, list[float]] = {name: [] for name in self._statistics}
-        self.last_worlds: list[Graph] = []
-        for _ in range(worlds):
-            world = self._sampler.sample(seed=rng)
-            if collect_worlds:
-                self.last_worlds.append(world)
-            for name, func in self._statistics.items():
-                values[name].append(float(func(world)))
-        return {
-            name: SampleSummary(name=name, values=np.asarray(vals))
-            for name, vals in values.items()
-        }
-
-
-def estimate_statistic(
-    uncertain: UncertainGraph,
-    statistic: GraphStatistic,
-    *,
-    worlds: int,
-    seed=None,
-    name: str = "S",
-) -> SampleSummary:
-    """One-statistic convenience wrapper around the estimator."""
-    estimator = WorldStatisticsEstimator(uncertain, {name: statistic})
-    return estimator.run(worlds=worlds, seed=seed)[name]

@@ -1,12 +1,10 @@
-"""repro.worlds — batched possible-world engine for §6 utility evaluation.
+"""repro.worlds — the possible-world engine for §6 utility evaluation.
 
 The paper's utility tables (Tables 4–6) average ten statistics over
-~100 sampled possible worlds per obfuscated graph.  The sequential path
-(:class:`repro.uncertain.sampling.WorldSampler` +
-:class:`repro.stats.sampling.WorldStatisticsEstimator`) draws and
-measures one world at a time; this package does the same work in
-batches and is the engine behind ``backend="batched"`` everywhere a
-world sample is evaluated (harness, CLI, benchmarks).
+~100 sampled possible worlds per obfuscated graph (Equation 9).  This
+package is the one code path that computes those means: it draws and
+measures worlds in batches, and :class:`WorldStatisticsEstimator` is
+what the harness, the CLI and the benchmarks call.
 
 Architecture
 ------------
@@ -27,9 +25,9 @@ Four layers, each consuming the previous one's flat-array output::
                     distance statistics.
     estimator.py    BatchStatisticsEngine — name-based kernel dispatch
                     turning any WorldBatch into per-world statistic
-                    vectors — and BatchedWorldStatisticsEstimator, the
-                    chunked, streaming drop-in backend for
-                    WorldStatisticsEstimator with bounded memory.
+                    vectors — and WorldStatisticsEstimator, which
+                    samples and evaluates worlds a chunk at a time with
+                    bounded memory.
     releases.py     sample_releases — Table-6 randomization baselines
                     (sparsification / perturbation) drawn as one
                     WorldBatch per scheme: a release scheme is a
@@ -37,19 +35,22 @@ Four layers, each consuming the previous one's flat-array output::
                     kernels that evaluate obfuscation worlds evaluate
                     baseline releases.
 
-Determinism contract: a batch consumes the RNG stream exactly as the
-sequential sampler would (NumPy fills ``(W, m)`` uniforms in C order),
-so for equal seeds the engine reproduces the *same worlds* and — by
-sharing the sequential statistic arithmetic — the same table values.
-Equivalence tests in ``tests/worlds/`` pin both properties.
+Determinism contract: a batch consumes the RNG stream exactly as
+:class:`repro.uncertain.sampling.WorldSampler` would (NumPy fills
+``(W, m)`` uniforms in C order), so for equal seeds the engine
+reproduces the *same worlds* as a world-by-world loop and — by sharing
+its statistic arithmetic — the same table values.  Equivalence tests
+in ``tests/worlds/`` pin both properties against the sequential oracle
+in ``tests/oracles/worlds.py``.
 """
 
 from repro.worlds.anf_batch import anf_distance_statistics_batch, hyperanf_batch
 from repro.worlds.batch import WorldBatch
 from repro.worlds.estimator import (
     BATCHED_STATISTIC_NAMES,
-    BatchedWorldStatisticsEstimator,
     BatchStatisticsEngine,
+    WorldStatisticsEstimator,
+    estimate_statistic,
 )
 from repro.worlds.releases import RELEASE_SCHEMES, sample_releases
 from repro.worlds.stats_batch import (
@@ -61,7 +62,8 @@ from repro.worlds.stats_batch import (
 
 __all__ = [
     "WorldBatch",
-    "BatchedWorldStatisticsEstimator",
+    "WorldStatisticsEstimator",
+    "estimate_statistic",
     "BatchStatisticsEngine",
     "BATCHED_STATISTIC_NAMES",
     "RELEASE_SCHEMES",

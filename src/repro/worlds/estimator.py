@@ -1,6 +1,7 @@
 """Chunked, streaming Table-4/5/6 estimation over batched possible worlds.
 
-Two layers live here:
+This is the one code path that averages a statistic over possible
+worlds (Equation 9).  Two layers live here:
 
 * :class:`BatchStatisticsEngine` — the batch-to-values core: given any
   :class:`~repro.worlds.batch.WorldBatch` (sampled from an uncertain
@@ -8,26 +9,27 @@ Two layers live here:
   :mod:`repro.worlds.releases`), produce per-world values of a statistic
   family through the vectorised kernels of
   :mod:`repro.worlds.stats_batch` and :mod:`repro.worlds.anf_batch`.
-* :class:`BatchedWorldStatisticsEstimator` — the drop-in backend behind
-  ``WorldStatisticsEstimator(..., backend="batched")``: same ``run``
-  signature, same :class:`~repro.stats.sampling.SampleSummary` outputs,
-  same RNG stream — but worlds are drawn and evaluated a chunk at a time
-  through the engine, so memory stays bounded by the chunk size while
-  the arithmetic stays identical to the sequential world-by-world loop
-  (equivalence pinned at ≤1e-9 by tests).
+* :class:`WorldStatisticsEstimator` — samples worlds from an uncertain
+  graph and returns one :class:`~repro.stats.sampling.SampleSummary`
+  per statistic.  Worlds are drawn and evaluated a chunk at a time
+  through the engine, so memory stays bounded by the chunk size.  The
+  values match a world-by-world loop over
+  :class:`~repro.uncertain.sampling.WorldSampler` with the same seed
+  (pinned at ≤1e-9 against the sequential oracle in the tests).
 
 Dispatch: when the statistics mapping is the registry's
 :class:`~repro.stats.registry.StatisticFamily` (or ``None``, which
 builds one), the ten paper statistics (S_NE … S_CC) are produced by
 the batched kernels under the *family's own configuration* —
-explicitly passed options must agree or construction fails, so batched
-and sequential can never silently diverge.  Any other mapping (and any
-non-paper name inside a family) is treated as opaque ``Graph → float``
-callables evaluated on lazily materialised worlds (bulk CSR
-construction, no per-edge Python).  Distance statistics honour the
-registry's three backends — ``"anf"`` runs the stacked multi-world
-diffusion, ``"exact"``/``"sampled"`` share one BFS histogram per
-materialised world, exactly like the sequential ``_HistogramCache``.
+explicitly passed options must agree or construction fails, so the
+kernels can never silently diverge from the family's callables.  Any
+other mapping (and any non-paper name inside a family) is treated as
+opaque ``Graph → float`` callables, evaluated on one lazily
+materialised world at a time (bulk CSR construction, no per-edge
+Python).  Distance statistics honour the registry's three backends —
+``"anf"`` runs the stacked multi-world diffusion, ``"exact"``/
+``"sampled"`` share one BFS histogram per materialised world, exactly
+like the registry's ``_HistogramCache``.
 """
 
 from __future__ import annotations
@@ -235,15 +237,10 @@ class BatchStatisticsEngine:
         batch: WorldBatch,
         names: list[str] | None = None,
         *,
-        collect_worlds: bool = False,
         chunk_size: int | None = None,
-    ) -> tuple[dict[str, np.ndarray], list[Graph]]:
-        """Per-world values of every requested statistic for one batch.
-
-        Returns ``(values, graphs)`` where ``values[name]`` is a ``(W,)``
-        float64 vector and ``graphs`` holds the materialised worlds —
-        non-empty only when ``collect_worlds`` is set or a non-kernel
-        statistic forced materialisation anyway.
+    ) -> dict[str, np.ndarray]:
+        """Per-world values of every requested statistic for one batch,
+        as one ``(W,)`` float64 vector per name.
 
         Large batches are evaluated in world slices (worlds never
         interact, so slicing is value-preserving).  The automatic slice
@@ -277,22 +274,18 @@ class BatchStatisticsEngine:
         if W > chunk_size:
             with span("worlds.evaluate", worlds=W, chunk_size=chunk_size):
                 values = {name: np.empty(W, dtype=np.float64) for name in names}
-                graphs: list[Graph] = []
                 for lo in range(0, W, chunk_size):
                     sub = batch.slice(lo, min(lo + chunk_size, W))
                     _EVAL_CHUNKS.add(1)
                     _EVAL_CHUNK_HIST.observe(sub.num_worlds)
-                    out, sub_graphs = self._evaluate_one(
-                        sub, names, collect_worlds=collect_worlds
-                    )
+                    out = self._evaluate_one(sub, names)
                     for name in names:
                         values[name][lo : lo + sub.num_worlds] = out[name]
-                    graphs.extend(sub_graphs)
-                return values, graphs
+                return values
         _EVAL_CHUNKS.add(1)
         _EVAL_CHUNK_HIST.observe(W)
         with span("worlds.evaluate", worlds=W, chunk_size=chunk_size):
-            return self._evaluate_one(batch, names, collect_worlds=collect_worlds)
+            return self._evaluate_one(batch, names)
 
     def evaluate_stream(
         self,
@@ -368,7 +361,7 @@ class BatchStatisticsEngine:
         else:
             for batch in batches:
                 _STREAM_BATCHES.add(1)
-                chunk, _ = self.evaluate(batch, names, chunk_size=chunk_size)
+                chunk = self.evaluate(batch, names, chunk_size=chunk_size)
                 for name in names:
                     parts[name].append(chunk[name])
         return {
@@ -381,12 +374,8 @@ class BatchStatisticsEngine:
         }
 
     def _evaluate_one(
-        self,
-        batch: WorldBatch,
-        names: list[str],
-        *,
-        collect_worlds: bool,
-    ) -> tuple[dict[str, np.ndarray], list[Graph]]:
+        self, batch: WorldBatch, names: list[str]
+    ) -> dict[str, np.ndarray]:
         """One un-sliced evaluation pass (see :meth:`evaluate`)."""
         out: dict[str, np.ndarray] = {}
         kernel_names = BATCHED_STATISTIC_NAMES if self._use_kernels else frozenset()
@@ -420,13 +409,15 @@ class BatchStatisticsEngine:
             else:
                 out.update(self._bfs_distance_statistics(batch))
 
-        graphs: list[Graph] = []
-        if fallback_names or collect_worlds:
-            graphs = list(batch.graphs())
-        for name in fallback_names:
-            func = self._statistics[name]
-            out[name] = np.array([float(func(g)) for g in graphs])
-        return {name: out[name] for name in names}, graphs
+        if fallback_names:
+            # One world at a time: every callable measures world w before
+            # world w + 1 is built, and w is freed once w + 1 replaces it.
+            for name in fallback_names:
+                out[name] = np.empty(batch.num_worlds, dtype=np.float64)
+            for w, graph in enumerate(batch.graphs()):
+                for name in fallback_names:
+                    out[name][w] = float(self._statistics[name](graph))
+        return {name: out[name] for name in names}
 
     def _bfs_distance_statistics(self, batch: WorldBatch) -> dict[str, np.ndarray]:
         """The exact/sampled backends: one shared histogram per world.
@@ -476,10 +467,7 @@ def _eval_batch_task(arg, shared):
     """Evaluate one self-contained batch (stream path: arrays pickled)."""
     spec, names, packed, us, vs, n, num_pairs, chunk_size = arg
     batch = WorldBatch(n, us, vs, packed, num_pairs)
-    values, _ = _engine_from_spec(spec).evaluate(
-        batch, names, chunk_size=chunk_size
-    )
-    return values
+    return _engine_from_spec(spec).evaluate(batch, names, chunk_size=chunk_size)
 
 
 def _eval_worlds_task(arg, shared):
@@ -496,12 +484,11 @@ def _eval_worlds_task(arg, shared):
     batch._union_cell[0] = _UnionIncidence.from_sorted(
         shared["union_heads"], shared["union_tails"], shared["union_pair"]
     )
-    values, _ = _engine_from_spec(spec).evaluate(batch, names)
-    return values
+    return _engine_from_spec(spec).evaluate(batch, names)
 
 
-class BatchedWorldStatisticsEstimator:
-    """Evaluate statistics over possible worlds, a batch at a time.
+class WorldStatisticsEstimator:
+    """Evaluate a family of statistics over sampled possible worlds.
 
     Parameters
     ----------
@@ -521,9 +508,17 @@ class BatchedWorldStatisticsEstimator:
         exact serial stream) and workers evaluate world chunks against
         shared-memory candidate arrays; per-world values are
         bit-identical to the serial loop (pinned by ``tests/exec``).
-    """
 
-    _UNSET = _UNSET
+    Examples
+    --------
+    >>> from repro.uncertain import UncertainGraph
+    >>> from repro.stats.degree import average_degree
+    >>> ug = UncertainGraph.from_pairs(4, [(0, 1, 0.5), (2, 3, 1.0)])
+    >>> est = WorldStatisticsEstimator(ug, {"S_AD": average_degree})
+    >>> summaries = est.run(worlds=64, seed=0)
+    >>> 0.5 < summaries["S_AD"].mean < 1.0   # E[S_AD] = 2*(1.5)/4 = 0.75
+    True
+    """
 
     def __init__(
         self,
@@ -541,17 +536,11 @@ class BatchedWorldStatisticsEstimator:
         self._statistics = self._engine.statistics
         self._chunk_size = chunk_size
         self._executor = executor
-        self.last_worlds: list[Graph] = []
 
     # ------------------------------------------------------------------
-    def run(
-        self, *, worlds: int, seed=None, collect_worlds: bool = False
-    ) -> dict[str, SampleSummary]:
-        """Sample ``worlds`` possible worlds and evaluate every statistic.
-
-        Identical contract (and identical per-world values) to
-        :meth:`repro.stats.sampling.WorldStatisticsEstimator.run`.
-        """
+    def run(self, *, worlds: int, seed=None) -> dict[str, SampleSummary]:
+        """Sample ``worlds`` (the sample size ``r``) possible worlds and
+        summarise every statistic over them."""
         if worlds < 1:
             raise ValueError(f"need at least one world, got {worlds}")
         rng = as_rng(seed)
@@ -560,12 +549,10 @@ class BatchedWorldStatisticsEstimator:
         if (
             executor is not None
             and getattr(executor, "backend", "serial") == "process"
-            and not collect_worlds
             and self._engine._shardable(names)
         ):
             return self._run_sharded(worlds, rng, names, executor)
         values = {name: np.empty(worlds, dtype=np.float64) for name in names}
-        self.last_worlds = []
         done = 0
         # One union-incidence cell threaded across every chunk: batches
         # sampled from one uncertain graph share the candidate pair
@@ -578,11 +565,7 @@ class BatchedWorldStatisticsEstimator:
                 batch = WorldBatch.sample(
                     self._uncertain, count, seed=rng, union_cell=union_cell
                 )
-                chunk, graphs = self._engine.evaluate(
-                    batch, names, collect_worlds=collect_worlds
-                )
-                if collect_worlds:
-                    self.last_worlds.extend(graphs)
+                chunk = self._engine.evaluate(batch, names)
                 for name in names:
                     values[name][done : done + count] = chunk[name]
                 done += count
@@ -628,7 +611,6 @@ class BatchedWorldStatisticsEstimator:
             "union_tails": union.tails,
             "union_pair": union.pair,
         }
-        self.last_worlds = []
         with span(
             "worlds.run",
             worlds=worlds,
@@ -643,3 +625,16 @@ class BatchedWorldStatisticsEstimator:
         return {
             name: SampleSummary(name=name, values=values[name]) for name in names
         }
+
+
+def estimate_statistic(
+    uncertain: UncertainGraph,
+    statistic: Callable[[Graph], float],
+    *,
+    worlds: int,
+    seed=None,
+    name: str = "S",
+) -> SampleSummary:
+    """One-statistic convenience wrapper around the estimator."""
+    estimator = WorldStatisticsEstimator(uncertain, {name: statistic})
+    return estimator.run(worlds=worlds, seed=seed)[name]

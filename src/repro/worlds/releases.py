@@ -29,9 +29,9 @@ shared generator would —
   the sequential path calls (every pass internally vectorised).
 
 Equal seeds therefore give identical releases edge-for-edge in both
-paths, which is what lets ``experiments/comparison.py`` keep the
-sequential functions as pinned ground truth while running Table 6 on
-the batched engine.
+paths, which is what lets the tests pin ``experiments/comparison.py``,
+which runs Table 6 on the batched engine, against the sequential
+functions in ``tests/oracles/worlds.py``.
 """
 
 from __future__ import annotations

@@ -14,10 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.anf.hyperanf import hyperanf, hyperanf_edgewise
+from repro.anf.hyperanf import hyperanf
 from repro.graphs.datasets import dblp_like
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
 from repro.graphs.graph import Graph
+
+from tests.oracles.anf import hyperanf_edgewise
 
 
 def _assert_identical(graph, *, b=6, seed=0, max_steps=None):

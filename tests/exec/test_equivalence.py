@@ -13,10 +13,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.graphs.generators import barabasi_albert
-from repro.worlds.estimator import (
-    BatchedWorldStatisticsEstimator,
-    BatchStatisticsEngine,
-)
+from repro.worlds.estimator import BatchStatisticsEngine, WorldStatisticsEstimator
 from repro.worlds.releases import stream_releases
 
 from tests.exec.equivalence import (
@@ -37,7 +34,7 @@ def uncertain():
 class TestWorldStatistics:
     def test_estimator_run(self, uncertain):
         def build(executor):
-            estimator = BatchedWorldStatisticsEstimator(
+            estimator = WorldStatisticsEstimator(
                 uncertain, distance_seed=0, executor=executor
             )
             return estimator.run(worlds=16, seed=5)
@@ -48,7 +45,7 @@ class TestWorldStatistics:
     def test_estimator_run_exact_distance_backend(self, uncertain):
         # no ANF register stack: the keep-matrix chunk rule + BFS kernels
         def build(executor):
-            estimator = BatchedWorldStatisticsEstimator(
+            estimator = WorldStatisticsEstimator(
                 uncertain,
                 distance_backend="exact",
                 distance_seed=0,

@@ -106,10 +106,10 @@ class TestConsolidation:
         assert default.default == RELEASE_CHUNK_DEFAULT
 
     def test_estimator_default_is_planner_constant(self):
-        from repro.worlds.estimator import BatchedWorldStatisticsEstimator
+        from repro.worlds.estimator import WorldStatisticsEstimator
 
         default = inspect.signature(
-            BatchedWorldStatisticsEstimator.__init__
+            WorldStatisticsEstimator.__init__
         ).parameters["chunk_size"]
         assert default.default == SAMPLE_CHUNK_DEFAULT
 

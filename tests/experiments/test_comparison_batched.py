@@ -1,17 +1,17 @@
 """Batched-vs-sequential equivalence for the Table-6 comparison layer.
 
-Pins the PR contract: ``baseline_utility_row``, ``achieved_k`` and
+Pins the contract: ``baseline_utility_row``, ``achieved_k`` and
 ``calibrate_randomization`` produce the same values (≤1e-9; sampling-
-level quantities exactly) on both backends from the same seed — and the
-per-scheme RNG stream no longer depends on ``PYTHONHASHSEED``, so two
-interpreter processes agree row-for-row.
+level quantities exactly) as the one-release-at-a-time oracle in
+``tests/oracles/worlds.py`` from the same seed — and the per-scheme RNG
+stream does not depend on ``PYTHONHASHSEED``, so two interpreter
+processes agree row-for-row.
 """
 
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ from repro.experiments.config import quick_config
 from repro.graphs.generators import erdos_renyi
 from repro.stats.registry import PAPER_STATISTIC_NAMES
 from repro.worlds.releases import RELEASE_SCHEMES
+
+from tests.oracles import worlds as oracle
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +47,7 @@ class TestBaselineRowEquivalence:
     @pytest.mark.parametrize("p", [0.05, 0.4, 0.9])
     def test_rows_match(self, graph, config, scheme, p):
         batched = baseline_utility_row(graph, scheme, p, config)
-        sequential = baseline_utility_row(
-            graph, scheme, p, replace(config, baseline_backend="sequential")
-        )
+        sequential = oracle.baseline_utility_row(graph, scheme, p, config)
         assert batched["variant"] == sequential["variant"]
         for name in (*PAPER_STATISTIC_NAMES, "rel_err"):
             np.testing.assert_allclose(
@@ -67,61 +67,37 @@ class TestBaselineRowEquivalence:
         )
         assert a == b
 
-    def test_bad_backend_rejected(self, graph, config):
-        bad = replace(config, baseline_backend="bogus")
-        with pytest.raises(ValueError):
-            baseline_utility_row(graph, "sparsification", 0.3, bad)
-
 
 class TestAchievedKEquivalence:
     @pytest.mark.parametrize("scheme", RELEASE_SCHEMES)
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
     def test_values_identical(self, graph, scheme, eps):
-        batched = achieved_k(
-            graph, scheme, 0.4, eps, releases=3, seed=7, backend="batched"
-        )
-        sequential = achieved_k(
-            graph, scheme, 0.4, eps, releases=3, seed=7, backend="sequential"
-        )
+        batched = achieved_k(graph, scheme, 0.4, eps, releases=3, seed=7)
+        sequential = oracle.achieved_k(graph, scheme, 0.4, eps, releases=3, seed=7)
         assert batched == sequential
 
     @pytest.mark.parametrize("scheme", RELEASE_SCHEMES)
     def test_skip_clamp_when_eps_n_exceeds_n(self, graph, scheme):
         """ε·n ≥ n clamps the skip index to the last (most anonymous) vertex."""
-        batched = achieved_k(
-            graph, scheme, 0.3, 1.5, releases=2, seed=1, backend="batched"
-        )
-        sequential = achieved_k(
-            graph, scheme, 0.3, 1.5, releases=2, seed=1, backend="sequential"
-        )
+        batched = achieved_k(graph, scheme, 0.3, 1.5, releases=2, seed=1)
+        sequential = oracle.achieved_k(graph, scheme, 0.3, 1.5, releases=2, seed=1)
         assert batched == sequential
         # the clamped value is the maximum anonymity level, so it cannot
         # be below the eps=0 (least-anonymous) value
-        assert batched >= achieved_k(
-            graph, scheme, 0.3, 0.0, releases=2, seed=1, backend="batched"
-        )
-
-    def test_bad_backend_rejected(self, graph):
-        with pytest.raises(ValueError):
-            achieved_k(graph, "sparsification", 0.3, 0.0, backend="bogus")
+        assert batched >= achieved_k(graph, scheme, 0.3, 0.0, releases=2, seed=1)
 
 
 class TestCalibrationEquivalence:
     @pytest.mark.parametrize("scheme", RELEASE_SCHEMES)
     def test_calibrated_p_identical(self, graph, scheme):
         kwargs = dict(p_grid=(0.02, 0.08, 0.32, 0.9), releases=2, seed=3)
-        batched = calibrate_randomization(
-            graph, scheme, 4, 0.05, backend="batched", **kwargs
-        )
-        sequential = calibrate_randomization(
-            graph, scheme, 4, 0.05, backend="sequential", **kwargs
-        )
+        batched = calibrate_randomization(graph, scheme, 4, 0.05, **kwargs)
+        sequential = oracle.calibrate_randomization(graph, scheme, 4, 0.05, **kwargs)
         assert (np.isnan(batched) and np.isnan(sequential)) or (
             batched == sequential
         )
 
-    @pytest.mark.parametrize("backend", ["batched", "sequential"])
-    def test_unreachable_target_is_nan(self, graph, backend):
+    def test_unreachable_target_is_nan(self, graph):
         p = calibrate_randomization(
             graph,
             "sparsification",
@@ -130,7 +106,6 @@ class TestCalibrationEquivalence:
             p_grid=(0.1,),
             releases=1,
             seed=0,
-            backend=backend,
         )
         assert np.isnan(p)
 

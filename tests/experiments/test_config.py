@@ -51,3 +51,9 @@ class TestExperimentConfig:
         cfg = quick_config(worlds=7)
         assert cfg.worlds == 7
         assert cfg.scale == 0.2
+
+    @pytest.mark.parametrize("field", ["worlds", "baseline_samples"])
+    def test_zero_samples_rejected(self, field):
+        """A mean over zero worlds or releases is an empty-slice NaN."""
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: 0})

@@ -84,9 +84,10 @@ class TestFigure4:
         vectorised levels) reproduces the former per-release pipeline:
         same RNG stream ⇒ same release ⇒ same curve."""
         from repro.baselines.anonymity import randomization_anonymity_levels
-        from repro.experiments.comparison import _sample_release
         from repro.baselines.anonymity import cumulative_anonymity_curve
         from repro.utils.rng import as_rng
+
+        from tests.oracles.worlds import sample_release
 
         baselines = [("sparsification", 0.4), ("perturbation", 0.3)]
         curves = figure4_data(
@@ -96,7 +97,7 @@ class TestFigure4:
         rng = as_rng((config.seed, 4))
         k_grid = np.arange(1, 26, dtype=np.float64)
         for scheme, p in baselines:
-            published = _sample_release(graph, scheme, p, rng)
+            published = sample_release(graph, scheme, p, rng)
             levels = randomization_anonymity_levels(graph, published, scheme, p)
             expected = cumulative_anonymity_curve(levels, k_grid)
             np.testing.assert_array_equal(

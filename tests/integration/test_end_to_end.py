@@ -19,13 +19,8 @@ from repro.baselines import random_sparsification
 from repro.core import compute_degree_posterior
 from repro.experiments.config import quick_config
 from repro.graphs import dblp_like
-from repro.stats import (
-    WorldStatisticsEstimator,
-    estimate_statistic,
-    hoeffding_sample_size,
-    num_edges,
-    paper_statistics,
-)
+from repro.stats import hoeffding_sample_size, num_edges, paper_statistics
+from repro.worlds import WorldStatisticsEstimator, estimate_statistic
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,11 @@ import pytest
 from repro.stats.degree import average_degree, num_edges
 from repro.stats.sampling import (
     SampleSummary,
-    WorldStatisticsEstimator,
-    estimate_statistic,
     hoeffding_error_probability,
     hoeffding_sample_size,
 )
 from repro.uncertain.graph import UncertainGraph
+from repro.worlds import WorldStatisticsEstimator, estimate_statistic
 
 
 class TestHoeffding:
@@ -110,11 +109,6 @@ class TestEstimator:
         out = est.run(worlds=50, seed=2)
         assert set(out) == {"S_NE", "S_AD"}
         assert out["S_AD"].mean == pytest.approx(out["S_NE"].mean / 3, rel=1e-9)
-
-    def test_collect_worlds(self, ug):
-        est = WorldStatisticsEstimator(ug, {"S_NE": num_edges})
-        est.run(worlds=5, seed=0, collect_worlds=True)
-        assert len(est.last_worlds) == 5
 
     def test_zero_worlds_rejected(self, ug):
         est = WorldStatisticsEstimator(ug, {"S_NE": num_edges})

@@ -157,6 +157,12 @@ class TestStats:
         for name in ("S_NE", "S_AD", "S_CC", "S_APD"):
             assert name in out
 
+    def test_zero_worlds_rejected(self, release_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--release", str(release_file), "--worlds", "0"])
+        assert exc.value.code == 2
+        assert "--worlds" in capsys.readouterr().err
+
 
 class TestSample:
     def test_writes_world(self, release_file, tmp_path):
@@ -193,23 +199,12 @@ class TestCompare:
         assert "perturbation (p=0.3)" in out
         assert "rel_err" in out
 
-    def test_backends_agree(self, graph_file, capsys):
-        outputs = []
-        for backend in ("batched", "sequential"):
-            code = main(
-                [
-                    "compare",
-                    "--input", str(graph_file),
-                    "--schemes", "sparsification",
-                    "--p", "0.5",
-                    "--samples", "4",
-                    "--backend", "exact",
-                    "--baseline-backend", backend,
-                ]
-            )
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+    def test_zero_samples_rejected(self, graph_file, capsys):
+        """A mean over zero releases is NaN: a usage error, not a table."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--input", str(graph_file), "--p", "0.3", "--samples", "0"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_calibrates_when_p_missing(self, graph_file, capsys):
         code = main(
@@ -236,6 +231,20 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--release", "r.txt", "--world-backend", "batched"],
+            ["compare", "--input", "g.txt", "--p", "0.3", "--baseline-backend", "batched"],
+        ],
+        ids=["stats", "compare"],
+    )
+    def test_engine_selectors_removed(self, argv):
+        """One world engine: the old selector flags are usage errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

@@ -13,6 +13,7 @@ import repro.core.search
 import repro.graphs.graph
 import repro.stats.sampling
 import repro.uncertain.sampling
+import repro.worlds.estimator
 
 MODULES = [
     repro.graphs.graph,
@@ -20,6 +21,7 @@ MODULES = [
     repro.core.search,
     repro.stats.sampling,
     repro.anf.hyperloglog,
+    repro.worlds.estimator,
 ]
 
 

@@ -1,26 +1,28 @@
-"""End-to-end equivalence: batched estimator vs the sequential ground truth.
+"""End-to-end equivalence: the batched estimator vs the sequential oracle.
 
-The tentpole acceptance criterion: same seed ⇒ same worlds ⇒ Table-4
-values within 1e-9, for every distance backend and any chunking.
+Same seed ⇒ same worlds ⇒ Table-4 values within 1e-9, for every
+distance backend and any chunking.  The one-world-at-a-time reference
+loop lives in ``tests/oracles/worlds.py``.
 """
+
+import gc
 
 import numpy as np
 import pytest
 
+from repro.graphs.graph import Graph
 from repro.stats.degree import num_edges
 from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
-from repro.stats.sampling import WorldStatisticsEstimator
-from repro.worlds import BATCHED_STATISTIC_NAMES, BatchedWorldStatisticsEstimator
+from repro.worlds import BATCHED_STATISTIC_NAMES, WorldStatisticsEstimator
 
+from tests.oracles.worlds import world_statistics
 from tests.worlds.conftest import random_uncertain
 
 
 def _run_pair(uncertain, *, distance_backend, worlds, seed, chunk_size=32):
     stats = paper_statistics(distance_backend=distance_backend, seed=seed)
-    sequential = WorldStatisticsEstimator(uncertain, stats).run(
-        worlds=worlds, seed=seed
-    )
-    batched = BatchedWorldStatisticsEstimator(
+    sequential = world_statistics(uncertain, stats, worlds=worlds, seed=seed)
+    batched = WorldStatisticsEstimator(
         uncertain,
         stats,
         distance_backend=distance_backend,
@@ -86,36 +88,62 @@ class TestTable4Equivalence:
 
 class TestBatchedEstimator:
     def test_default_statistics_are_paper_family(self, denser_uncertain):
-        est = BatchedWorldStatisticsEstimator(denser_uncertain)
+        est = WorldStatisticsEstimator(denser_uncertain)
         out = est.run(worlds=3, seed=0)
         assert set(out) == set(PAPER_STATISTIC_NAMES)
 
     def test_unknown_statistic_falls_back_to_callable(self, denser_uncertain):
-        est = BatchedWorldStatisticsEstimator(
+        est = WorldStatisticsEstimator(
             denser_uncertain, {"S_NE": num_edges, "halved": lambda g: g.num_edges / 2}
         )
         out = est.run(worlds=5, seed=1)
         np.testing.assert_allclose(out["halved"].values, out["S_NE"].values / 2)
 
-    def test_collect_worlds(self, denser_uncertain):
-        est = BatchedWorldStatisticsEstimator(denser_uncertain, chunk_size=2)
-        est.run(worlds=5, seed=0, collect_worlds=True)
-        assert len(est.last_worlds) == 5
-        counts = [g.num_edges for g in est.last_worlds]
-        out = est.run(worlds=5, seed=0)
-        np.testing.assert_array_equal(counts, out["S_NE"].values)
+    def test_callable_sees_one_live_world(self):
+        """A plain callable runs on one materialised world at a time: no
+        world of the chunk (or of the previous chunk) is kept alive."""
+        ug = random_uncertain(120, 400, seed=3)
+        # Held, so no world can reuse the id of a graph alive before the run.
+        held = [o for o in gc.get_objects() if isinstance(o, Graph)]
+        before = {id(o) for o in held}
+        live = []
+
+        def count_worlds(graph):
+            live.append(
+                sum(
+                    1
+                    for o in gc.get_objects()
+                    if isinstance(o, Graph) and id(o) not in before
+                )
+            )
+            return graph.num_edges
+
+        out = WorldStatisticsEstimator(ug, {"S_NE": count_worlds}).run(
+            worlds=40, seed=0
+        )
+        assert len(live) == 40
+        assert max(live) == 1
+        sequential = world_statistics(ug, {"S_NE": num_edges}, worlds=40, seed=0)
+        np.testing.assert_array_equal(out["S_NE"].values, sequential["S_NE"].values)
+
+    def test_backend_keyword_rejected(self, denser_uncertain):
+        """The estimator has one engine; the old selector is not accepted."""
+        with pytest.raises(TypeError):
+            WorldStatisticsEstimator(
+                denser_uncertain, {"S_NE": num_edges}, backend="batched"
+            )
 
     def test_zero_worlds_rejected(self, denser_uncertain):
         with pytest.raises(ValueError):
-            BatchedWorldStatisticsEstimator(denser_uncertain).run(worlds=0)
+            WorldStatisticsEstimator(denser_uncertain).run(worlds=0)
 
     def test_bad_chunk_size_rejected(self, denser_uncertain):
         with pytest.raises(ValueError):
-            BatchedWorldStatisticsEstimator(denser_uncertain, chunk_size=0)
+            WorldStatisticsEstimator(denser_uncertain, chunk_size=0)
 
     def test_bad_backend_rejected(self, denser_uncertain):
         with pytest.raises(ValueError):
-            BatchedWorldStatisticsEstimator(
+            WorldStatisticsEstimator(
                 denser_uncertain, distance_backend="bogus"
             )
 
@@ -126,19 +154,17 @@ class TestBatchedEstimator:
         """Silently diverging from the family's configuration is an error."""
         family = paper_statistics(distance_backend="anf", seed=0)
         with pytest.raises(ValueError, match="conflicts"):
-            BatchedWorldStatisticsEstimator(
+            WorldStatisticsEstimator(
                 denser_uncertain, family, distance_backend="exact"
             )
         with pytest.raises(ValueError, match="conflicts"):
-            BatchedWorldStatisticsEstimator(denser_uncertain, family, distance_seed=1)
+            WorldStatisticsEstimator(denser_uncertain, family, distance_seed=1)
 
     def test_family_config_adopted(self, denser_uncertain):
         """A sampled-backend family runs its own sample_size, no options needed."""
         family = paper_statistics(distance_backend="sampled", sample_size=16, seed=3)
-        sequential = WorldStatisticsEstimator(denser_uncertain, family).run(
-            worlds=5, seed=2
-        )
-        batched = BatchedWorldStatisticsEstimator(denser_uncertain, family).run(
+        sequential = world_statistics(denser_uncertain, family, worlds=5, seed=2)
+        batched = WorldStatisticsEstimator(denser_uncertain, family).run(
             worlds=5, seed=2
         )
         for name in PAPER_STATISTIC_NAMES:
@@ -155,53 +181,13 @@ class TestBatchedEstimator:
         from repro.graphs.triangles import transitivity
 
         mapping = {"S_CC": transitivity}
-        sequential = WorldStatisticsEstimator(denser_uncertain, mapping).run(
-            worlds=5, seed=1
-        )
-        batched = BatchedWorldStatisticsEstimator(denser_uncertain, mapping).run(
+        sequential = world_statistics(denser_uncertain, mapping, worlds=5, seed=1)
+        batched = WorldStatisticsEstimator(denser_uncertain, mapping).run(
             worlds=5, seed=1
         )
         np.testing.assert_allclose(
             batched["S_CC"].values, sequential["S_CC"].values, atol=1e-12, rtol=0
         )
-
-
-class TestFrontendWiring:
-    def test_backend_selection(self, denser_uncertain):
-        stats = paper_statistics(distance_backend="anf", seed=2)
-        seq = WorldStatisticsEstimator(denser_uncertain, stats)
-        bat = WorldStatisticsEstimator(
-            denser_uncertain,
-            stats,
-            backend="batched",
-            distance_backend="anf",
-            distance_seed=2,
-        )
-        a = seq.run(worlds=6, seed=8)
-        b = bat.run(worlds=6, seed=8)
-        for name in PAPER_STATISTIC_NAMES:
-            np.testing.assert_allclose(
-                b[name].values, a[name].values, atol=1e-9, rtol=0
-            )
-
-    def test_collect_worlds_via_frontend(self, denser_uncertain):
-        est = WorldStatisticsEstimator(
-            denser_uncertain, {"S_NE": num_edges}, backend="batched"
-        )
-        est.run(worlds=4, seed=0, collect_worlds=True)
-        assert len(est.last_worlds) == 4
-
-    def test_unknown_backend_rejected(self, denser_uncertain):
-        with pytest.raises(ValueError, match="backend"):
-            WorldStatisticsEstimator(
-                denser_uncertain, {"S_NE": num_edges}, backend="turbo"
-            )
-
-    def test_options_require_batched(self, denser_uncertain):
-        with pytest.raises(ValueError, match="batched"):
-            WorldStatisticsEstimator(
-                denser_uncertain, {"S_NE": num_edges}, chunk_size=4
-            )
 
 
 class TestAutoChunkBound:
@@ -261,7 +247,7 @@ class TestAutoChunkBound:
             distance_backend="sampled", sample_size=4
         )
         batch = self._large_n_batch(worlds=3)
-        auto, _ = engine.evaluate(batch, ["S_NE", "S_APD"])
-        forced, _ = engine.evaluate(batch, ["S_NE", "S_APD"], chunk_size=1)
+        auto = engine.evaluate(batch, ["S_NE", "S_APD"])
+        forced = engine.evaluate(batch, ["S_NE", "S_APD"], chunk_size=1)
         for name in auto:
             np.testing.assert_array_equal(auto[name], forced[name])

@@ -219,7 +219,7 @@ class TestStreaming:
         names = list(stats)
         engine = BatchStatisticsEngine(stats)
         full = sample_releases(graph, "perturbation", 0.6, 10, seed=(6, 1))
-        expected, _ = engine.evaluate(full, names)
+        expected = engine.evaluate(full, names)
         streamed = engine.evaluate_stream(
             stream_releases(
                 graph, "perturbation", 0.6, 10, seed=(6, 1), chunk_size=3
