@@ -6,7 +6,8 @@ Before this module, three layers each carried their own ad-hoc
 * ``worlds/estimator`` sized ANF evaluation slices so the stacked
   ``(W·n, 2^b)`` HyperLogLog register matrix stays ~2 MB (cache
   resident), and non-ANF slices so the transient unpacked keep matrix
-  stays ~32 MB;
+  stays ~32 MB (the two rules now apply to the two kernel groups of
+  one evaluation, not to the evaluation as a whole);
 * ``worlds/releases`` streamed release batches 32 at a time;
 * ``worlds/batch.draw_packed_keep_bits`` grouped uniform draws so the
   float64 transient stays ~8 MB.
@@ -45,7 +46,8 @@ __all__ = [
 ANF_REGISTER_STACK_BYTES = 2 << 20
 
 #: Bound the per-slice unpacked keep matrix (``W × m`` bools) to ~32 MB
-#: when no register stack exists (degree/triangle kernels, BFS backends).
+#: for the names that build no register stack (degree/triangle kernels,
+#: BFS backends).
 KEEP_MATRIX_BYTES = 32 << 20
 
 #: Bound the float64 uniform transient of a packed keep-bit draw (~8 MB).
@@ -64,9 +66,13 @@ def world_eval_chunk_size(
     """Worlds per evaluation slice for one :class:`~repro.worlds.batch.WorldBatch`.
 
     The consolidated ``chunk_size="auto"`` rule of the batch statistics
-    engine: when a stacked ANF diffusion will run, the slice keeps the
-    ``(W·n, 2^b)`` register stack cache-resident; otherwise the bound
-    comes from the transient unpacked keep matrix.  Always ``>= 1``.
+    engine, chosen per kernel group: the distance names on the stacked
+    ANF diffusion (``anf=True``) get slices whose ``(W·n, 2^b)``
+    register stack stays cache-resident — a single world once ``n``
+    passes 16,384 at ``b = 6`` — while every other name (degree family,
+    S_CC, the BFS backends) is bounded by the transient unpacked keep
+    matrix (``anf=False``), so the triangle kernel sees whole lane
+    slices.  Always ``>= 1``.
     """
     if anf:
         return max(
@@ -133,7 +139,7 @@ class ChunkPlan:
         anf_b: int = 6,
         chunk_size: int | None = None,
     ) -> "ChunkPlan":
-        """World-evaluation plan (the estimator's auto rule)."""
+        """World-evaluation plan for one kernel group (the estimator's auto rule)."""
         if chunk_size is None:
             chunk_size = world_eval_chunk_size(
                 num_vertices, num_candidate_pairs, anf=anf, anf_b=anf_b

@@ -3,7 +3,8 @@
 Backs the ``repro trace`` subcommand: given a ``trace.jsonl``, a
 ``manifest.json``, or a directory holding either, print the per-phase
 table (top-level spans), the heaviest spans by cumulative wall time,
-and the posterior kernel mix recorded by the metrics registry.
+the posterior kernel mix recorded by the metrics registry, and how
+many worlds the triangle kernel counted in a shared lane slice or alone.
 """
 
 from __future__ import annotations
@@ -169,6 +170,14 @@ def summarise_run(
         sections.append(
             "kernel='auto' dispatch (TREE_CROSSOVER_WIDTH): "
             f"{dispatch_tree or 0:,} tree / {dispatch_stair or 0:,} staircase"
+        )
+    sliced = _metric_value(metrics, "worlds.triangles.sliced")
+    alone = _metric_value(metrics, "worlds.triangles.alone")
+    if sliced or alone:
+        wedges = _metric_value(metrics, "triangles.wedges") or 0
+        sections.append(
+            f"triangle lanes: {sliced or 0:,} worlds sliced / {alone or 0:,} "
+            f"counted alone, {wedges:,} wedges enumerated"
         )
     if not sections:
         sections.append("(empty trace: no spans or metrics recorded)")

@@ -12,12 +12,16 @@ Four layers, each consuming the previous one's flat-array output::
 
     batch.py        WorldBatch — W worlds from one (W, m) Bernoulli
                     pass over the shared candidate-pair arrays, stored
-                    bit-packed; exposes flat world-offset edge lists
-                    (one W·n-vertex disjoint union) and lazy per-world
-                    Graph materialisation via Graph.from_edge_array.
+                    bit-packed; exposes pair-major uint64 keep lanes of
+                    up to 64 worlds, the W·n-vertex disjoint-union CSR,
+                    and lazy per-world Graph materialisation via
+                    Graph.from_edge_array.
     stats_batch.py  degree family (S_NE, S_AD, S_MD, S_DV, S_PL) from
-                    one flattened bincount; triangles / S_CC by chunked
-                    vectorised wedge closure over the union CSR.
+                    one weighted bincount per world; triangles / S_CC
+                    bit-sliced — the forward kernel of
+                    repro.graphs.triangles enumerates a 64-world lane
+                    slice's union once (or each world alone, when the
+                    union has more wedges than the worlds together).
     anf_batch.py    multi-world HyperANF — registers stacked into a
                     (W·n, 2^b) uint8 matrix, merged per step by a
                     degree-grouped segmented max over a change frontier,
@@ -25,9 +29,11 @@ Four layers, each consuming the previous one's flat-array output::
                     distance statistics.
     estimator.py    BatchStatisticsEngine — name-based kernel dispatch
                     turning any WorldBatch into per-world statistic
-                    vectors — and WorldStatisticsEstimator, which
-                    samples and evaluates worlds a chunk at a time with
-                    bounded memory.
+                    vectors, with the ANF names and the structural names
+                    planned into world chunks by separate rules — and
+                    WorldStatisticsEstimator, which samples and
+                    evaluates worlds a chunk at a time with bounded
+                    memory.
     releases.py     sample_releases — Table-6 randomization baselines
                     (sparsification / perturbation) drawn as one
                     WorldBatch per scheme: a release scheme is a

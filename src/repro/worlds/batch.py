@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.exec.plan import draw_rows_per_pass
 from repro.graphs.graph import Graph
+from repro.graphs.triangles import LANE_WIDTH
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.uncertain.graph import UncertainGraph
 from repro.utils.rng import as_rng
@@ -126,7 +127,6 @@ class WorldBatch:
         "_num_worlds",
         "_num_pairs",
         "_packed",
-        "_flat",
         "_csr",
         "_union_cell",
     )
@@ -147,7 +147,6 @@ class WorldBatch:
         self._packed = packed
         self._num_worlds = packed.shape[0]
         self._num_pairs = int(num_pairs)
-        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         # One-element holder for the lazily built sorted incidence, so a
         # slice built *before* the parent's CSR still shares the result.
@@ -278,23 +277,29 @@ class WorldBatch:
         mask = self.world_mask(w)
         return np.column_stack([self._us[mask], self._vs[mask]])
 
-    def flat_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All kept edges of all worlds, flattened with world ids.
+    def lanes(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair-major keep lanes of worlds ``lo:hi`` (at most 64).
 
         Returns
         -------
-        (world_ids, us, vs):
-            Parallel arrays over every kept (world, pair) incidence.
-            Offsetting endpoints by ``world_ids · n`` turns the batch
-            into one big ``W·n``-vertex disjoint-union graph — the
-            layout every batched kernel (degrees, triangles, HyperANF)
-            diffuses over in a single scatter pass.  Computed once per
-            batch and cached (several kernels consume it).
+        (us, vs, lanes):
+            The candidate pairs that some world of the slice keeps and,
+            per pair, a ``uint64`` whose bit ``w`` is set when world
+            ``lo + w`` keeps it — the input of
+            :func:`repro.graphs.triangles.count_triangles`.
         """
-        if self._flat is None:
-            w_idx, pair_idx = np.nonzero(self.keep_matrix())
-            self._flat = (w_idx, self._us[pair_idx], self._vs[pair_idx])
-        return self._flat
+        if not 0 <= lo <= hi <= self._num_worlds or hi - lo > LANE_WIDTH:
+            raise IndexError(
+                f"lane slice [{lo}, {hi}) out of range [0, {self._num_worlds}] "
+                f"or wider than {LANE_WIDTH} worlds"
+            )
+        keep = self.slice(lo, hi).keep_matrix()
+        octets = np.zeros((self._num_pairs, 8), dtype=np.uint8)
+        rows = np.packbits(keep, axis=0, bitorder="little")
+        octets[:, : len(rows)] = rows.T
+        lanes = octets.view("<u8").ravel()
+        kept = np.flatnonzero(lanes)
+        return self._us[kept], self._vs[kept], lanes[kept]
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR adjacency of the ``W·n``-vertex disjoint-union graph.

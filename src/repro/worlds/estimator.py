@@ -38,11 +38,7 @@ from collections.abc import Callable, Mapping
 
 import numpy as np
 
-from repro.exec.plan import (
-    SAMPLE_CHUNK_DEFAULT,
-    ChunkPlan,
-    world_eval_chunk_size,
-)
+from repro.exec.plan import SAMPLE_CHUNK_DEFAULT, ChunkPlan
 from repro.graphs.graph import Graph
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
@@ -182,12 +178,42 @@ class BatchStatisticsEngine:
         """The resolved name → callable mapping (kernel names included)."""
         return self._statistics
 
-    def _runs_anf_kernel(self, names) -> bool:
-        return (
-            self._use_kernels
+    def plan(
+        self, batch: WorldBatch, names: list[str], *, chunk_size: int | None = None
+    ) -> list[tuple[list[str], ChunkPlan]]:
+        """The kernel groups of ``names``, each with its world chunk plan.
+
+        Distance names that run on the stacked ANF kernel keep slices
+        small enough for the ``(W·n, 2^b)`` register stack to stay
+        cache-resident (one world per slice once ``n`` passes 16,384).
+        Every other name — the degree family, S_CC, the BFS backends and
+        opaque callables — is planned by the unpacked keep-matrix bound,
+        so the triangle kernel sees whole lane slices.  The structural
+        group comes first.  An explicit ``chunk_size`` applies to both.
+        """
+        anf = [
+            name
+            for name in names
+            if self._use_kernels
             and self._backend == "anf"
-            and any(name in DISTANCE_STATISTIC_NAMES for name in names)
-        )
+            and name in DISTANCE_STATISTIC_NAMES
+        ]
+        structural = [name for name in names if name not in anf]
+        return [
+            (
+                group,
+                ChunkPlan.worlds(
+                    batch.num_worlds,
+                    num_vertices=batch.num_vertices,
+                    num_candidate_pairs=batch.num_candidate_pairs,
+                    anf=group is anf,
+                    anf_b=self._anf_b,
+                    chunk_size=chunk_size,
+                ),
+            )
+            for group in (structural, anf)
+            if group
+        ]
 
     def spec(self) -> tuple:
         """Picklable resolved configuration (worker-side reconstruction).
@@ -243,49 +269,29 @@ class BatchStatisticsEngine:
         as one ``(W,)`` float64 vector per name.
 
         Large batches are evaluated in world slices (worlds never
-        interact, so slicing is value-preserving).  The automatic slice
-        size is derived from the statistics actually requested: when a
-        stacked ANF diffusion will run (``"anf"`` backend and at least
-        one distance statistic on the kernel path), slices are sized so
-        the ``(W·n, 2^b)`` register stack stays cache-resident — on big
-        graphs one huge stacked diffusion is memory-bandwidth-bound and
-        measurably slower than a handful of L2-sized ones.  Otherwise
-        (degree/triangle kernels only, or the exact/sampled BFS
-        backends) the register stack never exists, so the bound comes
-        from the transient unpacked keep matrix instead — large ``n``
-        no longer forces needless tiny slices.  ``chunk_size``
-        overrides the automatic bound; results are identical for every
-        chunking.
+        interact, so slicing is value-preserving).  The chunk rule is
+        set per kernel group (:meth:`plan`): names on the stacked ANF
+        diffusion get slices whose ``(W·n, 2^b)`` register stack stays
+        cache-resident — on big graphs one huge stacked diffusion is
+        memory-bandwidth-bound and measurably slower than a handful of
+        L2-sized ones — while the degree family, S_CC and everything
+        else get slices bounded by the transient unpacked keep matrix,
+        so large ``n`` never forces one-world triangle slices.
+        ``chunk_size`` overrides both bounds; results are identical for
+        every chunking.
         """
         if names is None:
             names = list(self._statistics)
         W = batch.num_worlds
-        if chunk_size is None:
-            # The consolidated auto rule (repro.exec.plan): ~2 MB ANF
-            # register stack when a stacked diffusion will run, ~32 MB
-            # unpacked keep matrix otherwise, always >= 1.
-            chunk_size = world_eval_chunk_size(
-                batch.num_vertices,
-                batch.num_candidate_pairs,
-                anf=self._runs_anf_kernel(names),
-                anf_b=self._anf_b,
-            )
         _EVAL_WORLDS.add(W)
-        if W > chunk_size:
-            with span("worlds.evaluate", worlds=W, chunk_size=chunk_size):
-                values = {name: np.empty(W, dtype=np.float64) for name in names}
-                for lo in range(0, W, chunk_size):
-                    sub = batch.slice(lo, min(lo + chunk_size, W))
-                    _EVAL_CHUNKS.add(1)
-                    _EVAL_CHUNK_HIST.observe(sub.num_worlds)
-                    out = self._evaluate_one(sub, names)
-                    for name in names:
-                        values[name][lo : lo + sub.num_worlds] = out[name]
-                return values
-        _EVAL_CHUNKS.add(1)
-        _EVAL_CHUNK_HIST.observe(W)
-        with span("worlds.evaluate", worlds=W, chunk_size=chunk_size):
-            return self._evaluate_one(batch, names)
+        values = {name: np.empty(W, dtype=np.float64) for name in names}
+        for group, plan in self.plan(batch, names, chunk_size=chunk_size):
+            for chunk in plan:
+                sub = batch if chunk.count == W else batch.slice(chunk.lo, chunk.hi)
+                out = self._evaluate_chunk(sub, group)
+                for name in group:
+                    values[name][chunk.lo : chunk.hi] = out[name]
+        return values
 
     def evaluate_stream(
         self,
@@ -373,10 +379,18 @@ class BatchStatisticsEngine:
             for name in names
         }
 
+    def _evaluate_chunk(
+        self, batch: WorldBatch, names: list[str]
+    ) -> dict[str, np.ndarray]:
+        """One un-sliced evaluation pass over a chunk (see :meth:`evaluate`)."""
+        _EVAL_CHUNKS.add(1)
+        _EVAL_CHUNK_HIST.observe(batch.num_worlds)
+        with span("worlds.evaluate", worlds=batch.num_worlds, statistics=len(names)):
+            return self._evaluate_one(batch, names)
+
     def _evaluate_one(
         self, batch: WorldBatch, names: list[str]
     ) -> dict[str, np.ndarray]:
-        """One un-sliced evaluation pass (see :meth:`evaluate`)."""
         out: dict[str, np.ndarray] = {}
         kernel_names = BATCHED_STATISTIC_NAMES if self._use_kernels else frozenset()
         degree_names = [n for n in names if n in kernel_names and n in DEGREE_STATISTIC_NAMES]
@@ -397,7 +411,7 @@ class BatchStatisticsEngine:
             out["S_CC"] = clustering_coefficients_batch(
                 batch,
                 degrees=degrees,
-                triangles=triangle_counts_batch(batch, degrees=degrees),
+                triangles=triangle_counts_batch(batch),
             )
         if distance_names:
             if self._backend == "anf":
@@ -471,7 +485,8 @@ def _eval_batch_task(arg, shared):
 
 
 def _eval_worlds_task(arg, shared):
-    """Evaluate one world chunk against the shared candidate arrays.
+    """Evaluate one kernel group's names on one world chunk, against the
+    shared candidate arrays.
 
     ``shared`` carries the endpoint arrays and the parent's sorted
     union incidence (built once, exported read-only), so the worker
@@ -484,7 +499,7 @@ def _eval_worlds_task(arg, shared):
     batch._union_cell[0] = _UnionIncidence.from_sorted(
         shared["union_heads"], shared["union_tails"], shared["union_pair"]
     )
-    return _engine_from_spec(spec).evaluate(batch, names)
+    return _engine_from_spec(spec)._evaluate_chunk(batch, names)
 
 
 class WorldStatisticsEstimator:
@@ -581,28 +596,27 @@ class WorldStatisticsEstimator:
         The parent draws *all* packed keep bits in one pass — C-order
         row fill means the stream positions equal the serial chunked
         loop's — builds the sorted union incidence once, exports both
-        to shared memory, and dispatches evaluation-grain world chunks
-        (the same consolidated auto rule serial slicing uses).  Because
-        evaluation is bitwise chunking-invariant and results return in
-        chunk order, the concatenated values equal the serial loop's
-        bit for bit.
+        to shared memory, and dispatches one task per chunk of each
+        kernel group's plan (:meth:`BatchStatisticsEngine.plan`), the
+        structural tasks first so they overlap the ANF ones.  Because
+        evaluation is bitwise chunking-invariant and every task writes
+        its own worlds and names, the assembled values equal the serial
+        loop's bit for bit.
         """
         engine = self._engine
         batch = WorldBatch.sample(self._uncertain, worlds, seed=rng)
         union = batch.union_incidence()
-        plan = ChunkPlan.worlds(
-            worlds,
-            num_vertices=batch.num_vertices,
-            num_candidate_pairs=batch.num_candidate_pairs,
-            anf=engine._runs_anf_kernel(names),
-            anf_b=engine._anf_b,
-        )
         spec = engine.spec()
         packed = batch.packed_bits
+        work = [
+            (group, chunk)
+            for group, plan in engine.plan(batch, names)
+            for chunk in plan
+        ]
         tasks = [
-            (spec, list(names), packed[c.lo : c.hi], batch.num_vertices,
+            (spec, group, packed[c.lo : c.hi], batch.num_vertices,
              batch.num_candidate_pairs)
-            for c in plan
+            for group, c in work
         ]
         shared = {
             "us": batch._us,
@@ -611,17 +625,18 @@ class WorldStatisticsEstimator:
             "union_tails": union.tails,
             "union_pair": union.pair,
         }
+        _EVAL_WORLDS.add(worlds)
         with span(
             "worlds.run",
             worlds=worlds,
-            chunk_size=plan.chunk_size,
+            tasks=len(tasks),
             workers=executor.workers,
         ):
             chunks = executor.map(_eval_worlds_task, tasks, shared=shared)
-        values = {
-            name: np.concatenate([chunk[name] for chunk in chunks])
-            for name in names
-        }
+        values = {name: np.empty(worlds, dtype=np.float64) for name in names}
+        for (group, c), out in zip(work, chunks):
+            for name in group:
+                values[name][c.lo : c.hi] = out[name]
         return {
             name: SampleSummary(name=name, values=values[name]) for name in names
         }

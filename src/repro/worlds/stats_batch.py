@@ -1,14 +1,15 @@
 """Per-world statistics for a whole batch in flattened array passes.
 
 The degree family (S_NE, S_AD, S_MD, S_DV, S_PL) needs only the
-``(W, n)`` degree matrix, which one ``bincount`` over world-offset
-endpoints produces for every world at once.  Triangles — the expensive
-input of S_CC — are counted by the vectorised forward algorithm over
-the batch's disjoint-union graph: orient edges by degree rank, pair up
-out-neighbours blockwise, and close each wedge against the directed
-edge codes with one ``searchsorted``.  Wedge enumeration is chunked by
-a memory budget so a heavy-tailed hub cannot blow up the intermediate
-arrays.
+``(W, n)`` degree matrix: one ``bincount`` per world over the endpoints
+of the pairs it keeps.  Triangles — the expensive input of S_CC — are
+counted by the forward kernel of :mod:`repro.graphs.triangles`, 64
+worlds at a time: each slice's keep bits are transposed into pair-major
+``uint64`` lanes, and the union graph of the slice is enumerated once,
+each closed wedge ANDing its three lanes.  When the worlds of a slice
+share too little for that to pay (the union has more wedges than the
+worlds have together, as for high-``p`` perturbation releases), each
+world is counted alone by the same kernel instead.
 
 Every scalar is produced by the *same* arithmetic as the sequential
 ``Graph → float`` callables in :mod:`repro.stats` (S_PL literally shares
@@ -20,22 +21,40 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graphs.triangles import (
+    LANE_WIDTH,
+    WEDGE_BLOCK,
+    count_triangles,
+    forward_orientation,
+    wedge_count,
+)
+from repro.obs.metrics import REGISTRY as _OBS
 from repro.stats.degree import powerlaw_exponent_from_distribution
 from repro.worlds.batch import WorldBatch
+
+# Lane-width telemetry (repro.obs): worlds whose triangles came from a
+# shared union enumeration vs from a kernel call of their own.
+_WORLDS_SLICED = _OBS.counter("worlds.triangles.sliced")
+_WORLDS_ALONE = _OBS.counter("worlds.triangles.alone")
 
 
 def degree_matrix(batch: WorldBatch) -> np.ndarray:
     """Degree sequences of all worlds as a ``(W, n)`` int64 matrix.
 
-    One flattened ``bincount`` over world-offset edge endpoints — the
-    batched counterpart of ``W`` separate ``Graph.degrees()`` calls.
+    One ``bincount`` per world over the candidate pairs' endpoints,
+    weighted by the world's keep bits — the batched counterpart of ``W``
+    separate ``Graph.degrees()`` calls.  The float sums are exact
+    integers (far below 2**53).
     """
     n, W = batch.num_vertices, batch.num_worlds
-    w_idx, us, vs = batch.flat_edges()
-    offset = w_idx * np.int64(n)
-    endpoints = np.concatenate([offset + us, offset + vs])
-    counts = np.bincount(endpoints, minlength=W * n)
-    return counts.reshape(W, n)
+    endpoints = np.concatenate([batch._us, batch._vs])
+    degrees = np.empty((W, n), dtype=np.int64)
+    for w in range(W):
+        mask = batch.world_mask(w)
+        degrees[w] = np.bincount(
+            endpoints, weights=np.concatenate([mask, mask]), minlength=n
+        )
+    return degrees
 
 
 def degree_statistics_batch(
@@ -88,88 +107,50 @@ def degree_statistics_batch(
 
 
 def triangle_counts_batch(
-    batch: WorldBatch,
-    *,
-    degrees: np.ndarray | None = None,
-    wedge_budget: int = 1 << 23,
+    batch: WorldBatch, *, wedge_budget: int = WEDGE_BLOCK
 ) -> np.ndarray:
     """Triangles (3-cliques, counted once) per world.
 
-    The vectorised *forward* algorithm over the batch's disjoint-union
-    graph: orient every kept edge from its lower-rank to its higher-rank
-    endpoint (rank = (degree, id), the classic degree ordering), build
-    the out-neighbour CSR, enumerate out-neighbour pairs blockwise, and
-    close each pair against the directed edge codes with a single
-    ``searchsorted``.  Every triangle has exactly one vertex with out-
-    edges to the other two, so each is counted once — and out-degrees
-    are bounded by ~√m under this orientation, which keeps the wedge
-    count near-linear even on heavy-tailed worlds.
+    Worlds are taken :data:`~repro.graphs.triangles.LANE_WIDTH` at a
+    time.  A slice's union graph is enumerated once with per-pair keep
+    lanes when its wedge count — ``Σ_v C(L(v), 2)`` under the union's
+    (degree, id) orientation — is at most the worlds' own wedge counts
+    under that orientation summed; otherwise each world is counted
+    alone.  Either way the counts are exact.
 
     Parameters
     ----------
     batch:
         The world batch.
-    degrees:
-        Optional precomputed :func:`degree_matrix`.
     wedge_budget:
-        Maximum out-neighbour pairs materialised per chunk (bounds peak
-        memory; results are independent of the chunking).
+        Wedges enumerated per kernel block (bounds peak memory; results
+        are independent of it).
     """
     n, W = batch.num_vertices, batch.num_worlds
     counts = np.zeros(W, dtype=np.int64)
-    if n == 0 or W == 0:
-        return counts
-    if degrees is None:
-        degrees = degree_matrix(batch)
-    deg_flat = degrees.ravel()
-    big_n = np.int64(W) * np.int64(n)
-
-    w_idx, us, vs = batch.flat_edges()
-    offset = w_idx * np.int64(n)
-    fu, fv = offset + us, offset + vs
-    du, dv = deg_flat[fu], deg_flat[fv]
-    forward = (du < dv) | ((du == dv) & (fu < fv))
-    heads = np.where(forward, fu, fv)
-    tails = np.where(forward, fv, fu)
-
-    edge_codes = np.sort(heads * big_n + tails)
-    order = np.argsort(heads, kind="stable")
-    out_nbrs = tails[order]
-    lengths = np.bincount(heads, minlength=big_n)
-    starts = np.cumsum(lengths) - lengths
-
-    sq = lengths * lengths
-    boundaries = np.cumsum(sq)
-    if len(boundaries) == 0 or boundaries[-1] == 0:
-        return counts
-
-    row0 = 0
-    while row0 < len(lengths):
-        # grow the row range until the wedge budget is hit
-        base = boundaries[row0 - 1] if row0 else 0
-        row1 = int(np.searchsorted(boundaries, base + wedge_budget, side="right"))
-        row1 = max(row1, row0 + 1)  # always take at least one row
-        L = lengths[row0:row1]
-        sqc = sq[row0:row1]
-        chunk_total = int(sqc.sum())
-        if chunk_total:
-            block = np.repeat(np.arange(len(L)), sqc)
-            q = np.arange(chunk_total) - np.repeat(np.cumsum(sqc) - sqc, sqc)
-            pos_a, pos_b = q // L[block], q % L[block]
-            pair = pos_a < pos_b  # each out-neighbour pair once
-            base_pos = starts[row0:row1][block[pair]]
-            a = out_nbrs[base_pos + pos_a[pair]]
-            b = out_nbrs[base_pos + pos_b[pair]]
-            # the closing edge is oriented lower rank → higher rank
-            da, db = deg_flat[a], deg_flat[b]
-            a_first = (da < db) | ((da == db) & (a < b))
-            codes = np.where(a_first, a, b) * big_n + np.where(a_first, b, a)
-            idx = np.searchsorted(edge_codes, codes)
-            idx_safe = np.minimum(idx, len(edge_codes) - 1)
-            closed = edge_codes[idx_safe] == codes
-            wedge_world = (block[pair][closed] + row0) // n
-            counts += np.bincount(wedge_world, minlength=W)
-        row0 = row1
+    for lo in range(0, W, LANE_WIDTH):
+        hi = min(lo + LANE_WIDTH, W)
+        us, vs, lanes = batch.lanes(lo, hi)
+        if len(us) == 0:
+            continue
+        width = hi - lo
+        heads, _ = forward_orientation(n, us, vs)
+        masks = [
+            ((lanes >> np.uint64(w)) & np.uint64(1)).astype(bool)
+            for w in range(width)
+        ]
+        alone = sum(wedge_count(n, heads[mask]) for mask in masks)
+        if wedge_count(n, heads) <= alone:
+            _WORLDS_SLICED.add(width)
+            counts[lo:hi] = count_triangles(
+                n, us, vs, lanes, wedge_budget=wedge_budget
+            )[:width]
+        else:
+            _WORLDS_ALONE.add(width)
+            for w, mask in enumerate(masks):
+                counts[lo + w] = count_triangles(
+                    n, us[mask], vs[mask], wedge_budget=wedge_budget
+                )
     return counts
 
 
@@ -178,7 +159,7 @@ def clustering_coefficients_batch(
     *,
     degrees: np.ndarray | None = None,
     triangles: np.ndarray | None = None,
-    wedge_budget: int = 1 << 23,
+    wedge_budget: int = WEDGE_BLOCK,
 ) -> np.ndarray:
     """The paper's ``S_CC = T3 / T2`` per world (0 where ``T2 = 0``).
 
@@ -189,9 +170,7 @@ def clustering_coefficients_batch(
     if degrees is None:
         degrees = degree_matrix(batch)
     if triangles is None:
-        triangles = triangle_counts_batch(
-            batch, degrees=degrees, wedge_budget=wedge_budget
-        )
+        triangles = triangle_counts_batch(batch, wedge_budget=wedge_budget)
     centered = (degrees * (degrees - 1) // 2).sum(axis=1, dtype=np.int64)
     t2 = centered - 2 * triangles
     return np.where(t2 > 0, triangles / np.maximum(t2, 1), 0.0)

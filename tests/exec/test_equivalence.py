@@ -13,6 +13,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.graphs.generators import barabasi_albert
+from repro.worlds.batch import WorldBatch
 from repro.worlds.estimator import BatchStatisticsEngine, WorldStatisticsEstimator
 from repro.worlds.releases import stream_releases
 
@@ -54,6 +55,25 @@ class TestWorldStatistics:
             return estimator.run(worlds=8, seed=11)
 
         assert_seed_equivalent(build, summaries_equal, workers=(2,))
+
+
+    def test_estimator_run_two_kernel_groups(self):
+        # n > 16,384: the ANF rule gives one world per task while the
+        # degree family and S_CC share one task, listed first
+        uncertain = random_uncertain(20_000, 400, seed=3, certain_fraction=0.5)
+        engine = WorldStatisticsEstimator(uncertain, distance_seed=0)._engine
+        batch = WorldBatch.sample(uncertain, 6, seed=0)
+        plans = engine.plan(batch, list(engine.statistics))
+        assert [len(chunks) for _, chunks in plans] == [1, 6]
+        assert "S_CC" in plans[0][0]
+
+        def build(executor):
+            estimator = WorldStatisticsEstimator(
+                uncertain, distance_seed=0, executor=executor
+            )
+            return estimator.run(worlds=6, seed=2)
+
+        assert_seed_equivalent(build, summaries_equal)
 
 
 class TestReleaseUnions:

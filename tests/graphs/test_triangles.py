@@ -10,10 +10,13 @@ from repro.graphs.triangles import (
     centered_triple_count,
     clustering_coefficient,
     connected_triple_count,
+    count_triangles,
     local_clustering,
     transitivity,
     triangle_count,
 )
+
+from tests.oracles import triangles as oracle
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -55,6 +58,54 @@ class TestTriangleCount:
         g = erdos_renyi(60, 0.12, seed=seed)
         expected = sum(nx.triangles(to_networkx(g)).values()) // 3
         assert triangle_count(g) == expected
+
+
+#: Every graph the tests in this module count.
+ORACLE_GRAPHS = {
+    "k3": Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]),
+    "wedge": Graph.from_edges(3, [(0, 1), (0, 2)]),
+    "empty": Graph(5),
+    "path4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+    "star5": Graph.from_edges(5, [(0, i) for i in range(1, 5)]),
+    "k4": Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]),
+    "two_triangles": Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),
+    **{
+        f"er{n}_{seed}": erdos_renyi(n, p, seed=seed)
+        for n, p, seed in (
+            (60, 0.12, 0), (60, 0.12, 7), (70, 0.1, 4),
+            (50, 0.15, 0), (50, 0.15, 1), (50, 0.15, 2), (50, 0.15, 6),
+        )
+    },
+    **{
+        f"plc{n}_{seed}": powerlaw_cluster(n, m, p, seed=seed)
+        for n, m, p, seed in (
+            (80, 3, 0.8, 2), (120, 3, 0.6, 8), (90, 3, 0.7, 3), (100, 2, 0.7, 1),
+        )
+    },
+}
+
+
+class TestAgainstOracle:
+    """The forward kernel against the edge-iterator reference."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_triangle_count(self, name):
+        g = ORACLE_GRAPHS[name]
+        assert triangle_count(g) == oracle.triangle_count(g)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_clustering_coefficient(self, name):
+        g = ORACLE_GRAPHS[name]
+        assert clustering_coefficient(g) == oracle.clustering_coefficient(g)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_block_size_invariant(self, budget):
+        g = ORACLE_GRAPHS["plc120_8"]
+        edges = g.edge_array()
+        got = count_triangles(
+            g.num_vertices, edges[:, 0], edges[:, 1], wedge_budget=budget
+        )
+        assert got == oracle.triangle_count(g)
 
 
 class TestTripleCounts:

@@ -84,6 +84,21 @@ def test_trace_subcommand_reports(tmp_path, edges, capsys):
     assert "per-phase" in capsys.readouterr().out
 
 
+def test_trace_reports_triangle_lane_choice(tmp_path, edges, capsys):
+    release = tmp_path / "release.txt"
+    run_dir = tmp_path / "run"
+    assert main(_obfuscate_args(edges, release)) == 0
+    stats = ["stats", "--release", str(release), "--worlds", "5", "--seed", "1"]
+    assert main(stats + ["--trace", str(run_dir)]) == 0
+    metrics = load_manifest(run_dir / "manifest.json")["metrics"]
+    assert metrics["worlds.triangles.sliced"] + metrics["worlds.triangles.alone"] == 5
+    assert metrics["triangles.wedges"] > 0
+    capsys.readouterr()
+
+    assert main(["trace", str(run_dir)]) == 0
+    assert "triangle lanes: " in capsys.readouterr().out
+
+
 def test_trace_subcommand_missing_path(tmp_path, capsys):
     assert main(["trace", str(tmp_path / "nope")]) == 2
     assert "trace:" in capsys.readouterr().err

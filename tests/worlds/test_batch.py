@@ -73,14 +73,24 @@ class TestViews:
             batch.edge_counts(), batch.keep_matrix().sum(axis=1)
         )
 
-    def test_flat_edges_consistent(self, small_uncertain):
-        batch = WorldBatch.sample(small_uncertain, 4, seed=2)
-        w_idx, us, vs = batch.flat_edges()
-        assert len(w_idx) == int(batch.edge_counts().sum())
-        for w in range(4):
-            mask = w_idx == w
-            got = set(zip(us[mask].tolist(), vs[mask].tolist()))
-            assert got == batch.world_graph(w).edge_set()
+    def test_lanes_match_keep_matrix(self, small_uncertain):
+        batch = WorldBatch.sample(small_uncertain, 70, seed=2)
+        keep = batch.keep_matrix()
+        us, vs, lanes = batch.lanes(3, 67)
+        assert lanes.dtype == np.uint64 and np.all(lanes != 0)
+        for w in range(64):
+            bit = (lanes >> np.uint64(w)) & np.uint64(1) == 1
+            got = set(zip(us[bit].tolist(), vs[bit].tolist()))
+            assert got == batch.world_graph(3 + w).edge_set()
+        # pairs no world of the slice keeps are dropped
+        assert len(us) == int(keep[3:67].any(axis=0).sum())
+
+    def test_lanes_bounds(self, small_uncertain):
+        batch = WorldBatch.sample(small_uncertain, 70, seed=2)
+        with pytest.raises(IndexError):
+            batch.lanes(0, 65)
+        us, vs, lanes = batch.lanes(5, 5)
+        assert len(us) == len(vs) == len(lanes) == 0
 
     def test_csr_matches_per_world_graphs(self, small_uncertain):
         batch = WorldBatch.sample(small_uncertain, 3, seed=4)

@@ -240,6 +240,37 @@ class TestAutoChunkBound:
         batch = self._large_n_batch()
         assert self._eval_chunks(engine, batch, ["S_APD"]) == batch.num_worlds
 
+    def test_structural_names_span_the_anf_chunks(self):
+        """The ANF rule gives one world per chunk here; the degree family
+        and S_CC are still evaluated in one chunk of every world."""
+        from repro.worlds.estimator import BatchStatisticsEngine
+
+        engine = BatchStatisticsEngine(distance_backend="anf")
+        batch = self._large_n_batch(worlds=4)
+        names = list(engine.statistics)
+        plan = [
+            (group, [(c.lo, c.hi) for c in chunks])
+            for group, chunks in engine.plan(batch, names)
+        ]
+        assert plan == [
+            (["S_NE", "S_AD", "S_MD", "S_DV", "S_PL", "S_CC"], [(0, 4)]),
+            (["S_APD", "S_DiamLB", "S_EDiam", "S_CL"], [(w, w + 1) for w in range(4)]),
+        ]
+        assert self._eval_chunks(engine, batch, names) == 1 + batch.num_worlds
+
+    def test_explicit_chunk_size_applies_to_every_group(self):
+        from repro.worlds.estimator import BatchStatisticsEngine
+
+        engine = BatchStatisticsEngine(distance_backend="anf")
+        batch = self._large_n_batch(worlds=5)
+        names = list(engine.statistics)
+        plans = engine.plan(batch, names, chunk_size=2)
+        assert [chunks.chunk_size for _, chunks in plans] == [2, 2]
+        auto = engine.evaluate(batch, names)
+        forced = engine.evaluate(batch, names, chunk_size=2)
+        for name in names:
+            np.testing.assert_array_equal(auto[name], forced[name])
+
     def test_values_identical_across_the_bound_change(self):
         from repro.worlds.estimator import BatchStatisticsEngine
 
