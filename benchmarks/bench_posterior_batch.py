@@ -3,11 +3,12 @@
 The headline perf claim of the batched Poisson-binomial engine
 (:mod:`repro.core.posterior_batch`): computing the full ``X_v(ω)``
 matrix of an obfuscated dblp surrogate (n ≈ 2k) must be ≥5× faster than
-the scalar per-vertex loop it replaced, while agreeing to 1e-12.
-Compare the two ``test_posterior_*`` rows of the benchmark table; the
-equivalence assertion runs inline on every invocation.
+the scalar per-vertex loop it replaced (now the reference in
+``tests/oracles/posterior.py``), while agreeing to 1e-12.  Compare the
+two ``test_posterior_*`` rows of the benchmark table; the equivalence
+assertion runs inline on every invocation.
 
-Run with::
+Run from the repo root (the oracle is imported as ``tests.oracles``)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_posterior_batch.py
 
@@ -23,12 +24,11 @@ import numpy as np
 import pytest
 
 from repro.core.generate import generate_obfuscation
-from repro.core.obfuscation_check import (
-    compute_degree_posterior,
-    compute_degree_posterior_scalar,
-)
+from repro.core.obfuscation_check import compute_degree_posterior
 from repro.core.types import ObfuscationParams
 from repro.graphs.datasets import dblp_like
+
+from tests.oracles.posterior import compute_degree_posterior_scalar
 
 
 @pytest.fixture(scope="module")

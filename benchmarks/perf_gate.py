@@ -62,7 +62,6 @@ EXEC_SPEEDUP_FLOOR = 1.6
 #: (csv name, row-match predicate fields, ratio column) per pinned workload.
 GATES: list[tuple[str, dict[str, str], str]] = [
     ("worlds_speedup.csv", {"backend": "batched"}, "speedup"),
-    ("obfuscation_speedup.csv", {"k": "all"}, "speedup"),
     ("table6_speedup.csv", {"backend": "batched"}, "speedup"),
 ]
 

@@ -14,7 +14,9 @@ Usage (also available as ``python -m repro``)::
 comments); ``release.txt`` is the published uncertain graph (``u v p``
 triples).  Every subcommand prints a short human-readable report to
 stdout and exits non-zero on failure, so the tool composes in shell
-pipelines.
+pipelines.  An out-of-range ``--k``/``--eps``/``--c``/``--q``/
+``--attempts``/``--delta`` exits 2 with a message on stderr before any
+file is read.
 
 Observability flags (after the subcommand name): ``-v``/``-vv`` for
 progress logging on stderr, ``-q`` for errors only, and
@@ -34,6 +36,7 @@ from pathlib import Path
 
 from repro.core.obfuscation_check import is_k_eps_obfuscation
 from repro.core.search import obfuscate_with_fallback
+from repro.core.types import ObfuscationParams
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.obs import (
     build_manifest,
@@ -101,13 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="retry with c=3 then c=5 (those above --c) if the base c "
         "cannot bracket",
-    )
-    p.add_argument(
-        "--engine",
-        default="array",
-        choices=("array", "sequential"),
-        help="Algorithm-2 engine: vectorised 'array' (default) or the "
-        "per-draw 'sequential' ground truth (same seed, same result)",
     )
 
     p = sub.add_parser("verify", parents=[common], help="check Definition 2 on a release")
@@ -254,7 +250,6 @@ def _cmd_obfuscate(args) -> int:
         q=args.q,
         attempts=args.attempts,
         delta=args.delta,
-        engine=args.engine,
     )
     if not result.success:
         print(
@@ -445,10 +440,24 @@ def _cmd_trace(args) -> int:
 
 _MANIFEST_SKIP_KEYS = frozenset(("command", "verbose", "quiet", "trace_dir"))
 
+#: Per subcommand, the options that are ObfuscationParams fields: they
+#: are checked against its bounds before any file is read.
+_PARAM_OPTIONS = {
+    "obfuscate": ("k", "eps", "c", "q", "attempts", "delta"),
+    "verify": ("k", "eps"),
+}
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    options = _PARAM_OPTIONS.get(args.command)
+    if options:
+        try:
+            ObfuscationParams(**{name: getattr(args, name) for name in options})
+        except ValueError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "obfuscate": _cmd_obfuscate,
         "verify": _cmd_verify,

@@ -36,7 +36,6 @@ from repro.core.generic_posterior import (
 from repro.core.obfuscation_check import (
     DegreePosterior,
     compute_degree_posterior,
-    compute_degree_posterior_scalar,
     is_k_eps_obfuscation,
     tolerance_achieved,
 )
@@ -50,9 +49,6 @@ from repro.core.perturbation import (
     erfinv_newton,
     pair_stream_uniforms,
     perturbations_from_uniforms,
-    sample_perturbation,
-    sample_perturbations,
-    sample_perturbations_inverse,
     truncated_normal_cdf,
     truncated_normal_mean,
     truncated_normal_pdf,
@@ -71,7 +67,6 @@ from repro.core.uniqueness import (
     gaussian_kernel,
     pair_uniqueness,
     property_commonness,
-    redistribute_sigma,
     redistribute_sigma_invariant,
 )
 
@@ -93,7 +88,6 @@ __all__ = [
     "degree_property",
     "neighbor_degree_property",
     "compute_degree_posterior",
-    "compute_degree_posterior_scalar",
     "tolerance_achieved",
     "is_k_eps_obfuscation",
     "gaussian_kernel",
@@ -101,7 +95,6 @@ __all__ = [
     "degree_uniqueness",
     "property_commonness",
     "pair_uniqueness",
-    "redistribute_sigma",
     "redistribute_sigma_invariant",
     "truncated_normal_pdf",
     "truncated_normal_cdf",
@@ -111,9 +104,6 @@ __all__ = [
     "erfinv_newton",
     "pair_stream_uniforms",
     "perturbations_from_uniforms",
-    "sample_perturbation",
-    "sample_perturbations",
-    "sample_perturbations_inverse",
     "generate_obfuscation",
     "select_excluded_vertices",
     "CandidateStallError",

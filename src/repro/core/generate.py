@@ -29,23 +29,21 @@ candidate-set-independent Eq. 7 normaliser
 pair's probability is a pure function of ``(key, pair code, σ)`` and
 pairs shared between attempts keep bit-equal probabilities.
 
-Two execution engines share this module (``ObfuscationParams.engine``):
+Candidate sets are built by vectorised toggling over pair codes
+(:func:`_build_candidate_codes`), all σ-independent setup is hoisted
+into a :class:`SearchContext` shared across the probes of Algorithm 1's
+binary search, and the Definition-2 check evaluates all of a probe's
+attempts in one stacked pass that serves most rows from per-probe base
+rows plus a fold-in of each attempt's additions
+(:func:`_generate_pair_keyed_array`).
 
-* ``"array"`` (default) — candidate sets are built by vectorised
-  toggling over pair codes (:func:`_build_candidate_codes`), all
-  σ-independent setup is hoisted into a :class:`SearchContext` shared
-  across the probes of Algorithm 1's binary search, and the
-  Definition-2 check evaluates all of a probe's attempts in one stacked
-  pass that serves most rows from per-probe base rows plus a fold-in of
-  each attempt's additions (:func:`_generate_pair_keyed_array`).
-* ``"sequential"`` — the original per-draw Python loop with a full
-  posterior recompute per attempt, kept as pinned ground truth.
-
-Both engines consume the *same* RNG stream call-for-call, so a fixed
-seed produces bit-identical candidate sets, released graphs and search
-traces on either — the property the seed-equivalence tests pin (the
-array fold path may drift ≤1e-12 from the sequential full recompute,
-which the stream-equivalence tests bound).
+The per-draw Python loop with a full posterior recompute per attempt
+is the reference in ``tests/oracles/generate.py``.  It consumes the
+same RNG stream call for call, so a fixed seed produces bit-identical
+candidate sets, released graphs and search traces on either — the
+property the seed-equivalence tests pin (the fold path may drift
+≤1e-12 from the full recompute, which the stream-equivalence tests
+bound).
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ import numpy as np
 from repro.core.degree_distribution import AUTO_EXACT_LIMIT
 from repro.core.obfuscation_check import (
     column_mass_stack,
-    compute_degree_posterior,
     entropies_from_column_mass,
 )
 from repro.core.perturbation import (
@@ -91,8 +88,9 @@ from repro.utils.rng import as_rng
 #: weighted sampling over the vertex distribution.  At the paper's
 #: ``c = 2`` a typical attempt needs ≈ ``|E|`` net additions, so one
 #: batch usually suffices for graphs up to ~8k edges; the unused tail
-#: of the final batch is discarded (both engines share this contract,
-#: so the candidate stream is identical on either).
+#: of the final batch is discarded (the per-draw reference builder
+#: shares this contract, so the candidate stream is identical on
+#: either).
 _BATCH = 8192
 
 #: Bail-out multiplier: if candidate-set construction consumes more than
@@ -276,54 +274,13 @@ def _candidate_batch_size(target_size: int, m: int) -> int:
     A multiple of :data:`_BATCH` scaled to the net additions the build
     needs (plus 12.5% slack for self-pairs, repeats and removals, capped
     at 8×), so large graphs finish in one batch instead of paying the
-    toggle bookkeeping per 8192-pair slice.  Both engines derive the
-    size from the same inputs, so their streams stay aligned.
+    toggle bookkeeping per 8192-pair slice.  The per-draw reference
+    builder takes its batch size from here too, so the streams stay
+    aligned.
     """
     needed = max(target_size - m, 1)
     slack = needed + needed // 8
     return min(-(-slack // _BATCH), 8) * _BATCH
-
-
-def _build_candidate_set(
-    n: int,
-    edge_set: set[tuple[int, int]],
-    target_size: int,
-    q_probs: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    batch_size: int = _BATCH,
-) -> tuple[set[tuple[int, int]], int]:
-    """Lines 6–12 of Algorithm 2: grow E_C from E by Q-weighted toggles.
-
-    The per-draw Python loop — pinned ground truth for
-    :func:`_build_candidate_codes`, which replays the identical RNG
-    stream with array ops (``rng.choice`` with a probability vector is
-    bit-equivalent to :class:`WeightedVertexSampler`, which the sampler
-    tests pin).  Returns the candidate set and the number of scalar
-    draws consumed (two per candidate pair).
-    """
-    candidate: set[tuple[int, int]] = set(edge_set)
-    max_draws = max(_MAX_DRAW_FACTOR * max(target_size, 1), 10_000)
-    draws_used = 0
-    while len(candidate) != target_size:
-        if draws_used >= max_draws:
-            raise CandidateStallError(
-                _stall_message(target_size, draws_used), draws_used // 2
-            )
-        batch = rng.choice(n, size=2 * batch_size, p=q_probs, replace=True)
-        draws_used += 2 * batch_size
-        for i in range(0, len(batch), 2):
-            u, v = int(batch[i]), int(batch[i + 1])
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in edge_set:
-                candidate.discard(key)
-            else:
-                candidate.add(key)
-            if len(candidate) == target_size:
-                break
-    return candidate, draws_used
 
 
 def _build_candidate_codes(
@@ -335,15 +292,16 @@ def _build_candidate_codes(
     *,
     batch_size: int = _BATCH,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Vectorised Lines 6–12: same RNG stream, identical candidate set.
+    """Lines 6–12 of Algorithm 2: grow E_C from E by Q-weighted toggles.
 
-    Each ``rng.choice`` batch (the very call the sequential builder
-    makes, so the stream stays aligned) is processed with array ops:
-    pairs are encoded as scalar codes ``u·n + v``, self-pairs masked,
-    repeated toggles collapsed to their first occurrence (an original
-    edge is only ever *removed*, a non-edge only ever *added*, so every
-    later occurrence of a code is a no-op), membership resolved against
-    the sorted ``edge_codes`` via ``np.isin``, and the "stop when
+    Each sampler batch (bit-equal to the ``rng.choice`` batch the
+    per-draw reference builder in ``tests/oracles/generate.py`` draws,
+    so the stream stays aligned) is processed with array ops: pairs are
+    encoded as scalar codes ``u·n + v``, self-pairs masked, repeated
+    toggles collapsed to their first occurrence (an original edge is
+    only ever *removed*, a non-edge only ever *added*, so every later
+    occurrence of a code is a no-op), membership resolved against the
+    sorted ``edge_codes`` by binary search, and the "stop when
     ``|E_C| = c·|E|``" cutoff located with a cumulative net-size scan.
 
     Returns
@@ -352,8 +310,8 @@ def _build_candidate_codes(
         Sorted candidate pair codes, a parallel mask marking original
         edges, the sorted codes of edges toggled *out* of the candidate
         set, and the number of scalar draws consumed — bit-identical,
-        draw-for-draw, to :func:`_build_candidate_set` at the same RNG
-        state and batch size (pinned by the seed-equivalence tests).
+        draw-for-draw, to the per-draw reference at the same RNG state
+        and batch size (pinned by the seed-equivalence tests).
     """
     m = len(edge_codes)
     max_draws = max(_MAX_DRAW_FACTOR * max(target_size, 1), 10_000)
@@ -462,9 +420,8 @@ class SigmaSetup:
         (:func:`repro.core.uniqueness.redistribute_sigma_invariant`).
     sampler:
         The table-accelerated Q sampler
-        (:class:`WeightedVertexSampler`) the array builder draws
-        batches from — built lazily so the sequential engine (which
-        calls ``rng.choice`` directly) never pays for its tables.
+        (:class:`WeightedVertexSampler`) the candidate builder draws
+        batches from.
     """
 
     __slots__ = (
@@ -473,7 +430,7 @@ class SigmaSetup:
         "q_probs",
         "available_additions",
         "q_mean_uniqueness",
-        "_sampler",
+        "sampler",
     )
 
     def __init__(
@@ -489,13 +446,7 @@ class SigmaSetup:
         self.q_probs = q_probs
         self.available_additions = available_additions
         self.q_mean_uniqueness = q_mean_uniqueness
-        self._sampler: WeightedVertexSampler | None = None
-
-    @property
-    def sampler(self) -> WeightedVertexSampler:
-        if self._sampler is None:
-            self._sampler = WeightedVertexSampler(self.q_probs)
-        return self._sampler
+        self.sampler = WeightedVertexSampler(q_probs)
 
 
 class SearchContext:
@@ -503,9 +454,9 @@ class SearchContext:
 
     One Algorithm-1 run calls Algorithm 2 at a dozen or more σ values;
     everything that does not depend on σ — degrees, the degree
-    histogram behind uniqueness, the edge set in both set and code
-    form, the edge-incidence structure and the checker width — is
-    computed once here.  Per-σ setup (uniqueness, ``H``, Q-weights and
+    histogram behind uniqueness, the edge codes, the edge-incidence
+    structure and the checker width — is computed once here.  Per-σ
+    setup (uniqueness, ``H``, Q-weights, the Q sampler's tables and
     the feasibility count) is memoised by σ, so repeated probes at the
     same σ (the doubling ladder replayed by ``obfuscate_with_fallback``
     when it escalates ``c``, or external sweeps) cost a dict lookup.
@@ -540,7 +491,6 @@ class SearchContext:
         self.distinct_degrees, self.degree_inverse = np.unique(
             self.degrees, return_inverse=True
         )
-        self._edge_set: set[tuple[int, int]] | None = None
         self._setups: dict[float, SigmaSetup] = {}
         self._edge_incidence: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Per-vertex multiplicity of each distinct degree — turns the
@@ -570,14 +520,6 @@ class SearchContext:
             raise ValueError(
                 "search context (eps/weighting/method) does not match params"
             )
-
-    @property
-    def edge_set(self) -> set[tuple[int, int]]:
-        """The original edge set (built lazily; only the sequential
-        engine's per-draw membership probes need it)."""
-        if self._edge_set is None:
-            self._edge_set = self.graph.edge_set()
-        return self._edge_set
 
     def edge_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical edge-incidence CSR *structure*, σ-independent.
@@ -664,8 +606,10 @@ def _pair_stream_perturbations(
     Algorithm 2's perturbation sampler: per-pair σ(e) via the invariant
     Eq. 7 normaliser, one inverse-CDF pass over the pair-code-keyed
     uniforms, and white noise resolved from its own substreams.  The
-    same helper serves both engines (and the batched probe path), so a
-    pair's perturbation never depends on which call evaluates it.
+    same helper draws the original edges and every attempt's additions
+    (and the per-attempt reference in ``tests/oracles/generate.py``
+    calls it too), so a pair's perturbation never depends on which call
+    evaluates it.
     """
     pair_uniq = pair_uniqueness(setup.uniqueness, us, vs)
     pair_sigmas = redistribute_sigma_invariant(
@@ -735,7 +679,7 @@ def _generate_pair_keyed_array(
     setup: SigmaSetup,
     target_size: int,
 ) -> GenerationOutcome:
-    """Algorithm 2 on the array engine.
+    """Algorithm 2's attempts, built first and checked in one stacked pass.
 
     Pair-keyed perturbations turn the probe's randomness inside out: the
     master RNG only feeds the candidate builds (plus the one key draw),
@@ -749,7 +693,8 @@ def _generate_pair_keyed_array(
       entries (the *base* rows) are computed once per probe;
     * **attempt batching** — with no stream interleaving between
       evaluation and sampling, all candidate sets are built first
-      (stream-identical to the sequential engine) and then evaluated in
+      (stream-identical to the per-attempt reference in
+      ``tests/oracles/generate.py``) and then evaluated in
       one stacked pass: each attempt's *additions* are folded into the
       base rows by :func:`repro.core.posterior_batch.fold_in_staircase`
       over every attempt simultaneously, CLT rows take one batched
@@ -765,8 +710,8 @@ def _generate_pair_keyed_array(
     — the ``rows_folded`` counter the benchmarks assert on.
 
     Fold rows fold edges first, then additions (the canonical CSR
-    interleaves them), so values may drift ≤1e-12 from the sequential
-    ground truth; candidate sets, probabilities and draws stay
+    interleaves them), so values may drift ≤1e-12 from the reference's
+    full recompute; candidate sets, probabilities and draws stay
     bit-identical.
     """
     n, m, width = context.n, context.m, context.width
@@ -774,8 +719,8 @@ def _generate_pair_keyed_array(
     pair_key = int(rng.integers(0, 2**63 - 1))
 
     # Phase 1 — candidate builds, consuming the master stream exactly
-    # like the sequential engine's per-attempt builds (nothing else
-    # draws from the master RNG between them).
+    # like the reference's per-attempt builds (nothing else draws from
+    # the master RNG between them).
     built: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
     pairs_drawn = 0
     batch_size = _candidate_batch_size(target_size, m)
@@ -1015,7 +960,7 @@ def generate_obfuscation(
         distribution; also the kernel width θ for uniqueness).
     params:
         Obfuscation parameters (k, ε, c, q, attempts, checker method,
-        engine).
+        weighting).
     seed:
         RNG seed/stream.
     excluded:
@@ -1057,75 +1002,6 @@ def generate_obfuscation(
             f"{setup.available_additions} addable non-edges outside H; reduce c"
         )
 
-    if params.engine == "array":
-        # The default path: per-probe edge state + batched attempt
-        # evaluation through the base/fold posterior (see the helper's
-        # docstring).  The attempt loop below is its sequential ground
-        # truth.
-        return _generate_pair_keyed_array(
-            sigma, params, rng, context, setup, target_size
-        )
-
-    best = GenerationOutcome(
-        eps_achieved=float("inf"), uncertain=None, sigma=sigma
+    return _generate_pair_keyed_array(
+        sigma, params, rng, context, setup, target_size
     )
-    pairs_drawn = 0
-    edge_set = context.edge_set
-    posteriors_computed = 0
-    # One master key per Algorithm-2 call: every pair draw below is a
-    # pure function of (key, pair code, σ), shared by the call's
-    # attempts — and by both engines, which consume the master stream
-    # identically up to this point.
-    pair_key = int(rng.integers(0, 2**63 - 1))
-    k_threshold = math.log2(params.k) - 1e-12  # Definition-2 bound, as k_obfuscated
-    batch_size = _candidate_batch_size(target_size, m)
-    for attempt in range(params.attempts):
-        try:
-            candidate, draws_used = _build_candidate_set(
-                n, edge_set, target_size, setup.q_probs, rng,
-                batch_size=batch_size,
-            )
-        except CandidateStallError as stall:
-            # Stochastic stall (all eligible non-edges absorbed before the
-            # target was hit) — count as a failed attempt, like the paper's
-            # other per-attempt failure modes.
-            pairs_drawn += stall.pairs_drawn
-            _GEN_STALLS.add(1)
-            _GEN_REDRAWS.observe(stall.pairs_drawn)
-            continue
-        pairs_drawn += draws_used // 2
-        _GEN_REDRAWS.observe(draws_used // 2)
-        pairs = np.array(sorted(candidate), dtype=np.int64)
-        us, vs = pairs[:, 0], pairs[:, 1]
-        codes = us * np.int64(n) + vs
-
-        perturbations = _pair_stream_perturbations(
-            pair_key, codes, us, vs, sigma, setup, params.q
-        )
-        is_edge = np.isin(codes, context.edge_codes, assume_unique=True)
-        probs = np.where(is_edge, 1.0 - perturbations, perturbations)
-
-        uncertain = UncertainGraph.from_arrays(n, us, vs, probs, keep_zero=True)
-        # The checker needs columns only at original degrees.
-        posterior = compute_degree_posterior(
-            uncertain, method=params.method, width=context.width
-        )
-        posteriors_computed += 1
-        # Line 20: ε̃ = |{v: H(Y_{P(v)}) < log2 k}| / n, sharing the
-        # context's distinct-degree dedup (same arithmetic as
-        # tolerance_achieved → k_obfuscated).
-        entropies = posterior.column_entropies(context.distinct_degrees)
-        obfuscated = entropies[context.degree_inverse] >= k_threshold
-        eps_attempt = float((~obfuscated).sum()) / max(n, 1)
-        if eps_attempt <= params.eps and eps_attempt < best.eps_achieved:
-            best = GenerationOutcome(
-                eps_achieved=eps_attempt,
-                uncertain=uncertain,
-                sigma=sigma,
-                attempts_made=attempt + 1,
-            )
-    if best.uncertain is None:
-        best.attempts_made = params.attempts
-    best.pairs_drawn = pairs_drawn
-    best.rows_recomputed = n * posteriors_computed
-    return _record_outcome(best)

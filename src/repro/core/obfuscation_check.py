@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from repro.core.degree_distribution import degree_pmf
 from repro.core.posterior_batch import degree_posterior_matrix
 from repro.graphs.graph import Graph
 from repro.uncertain.graph import UncertainGraph
@@ -258,38 +257,14 @@ def compute_degree_posterior(
     -----
     Runs on the batched engine of :mod:`repro.core.posterior_batch` —
     one CSR export plus a handful of vectorised passes instead of ``n``
-    scalar :func:`repro.core.degree_pmf` calls.  The scalar loop survives
-    as :func:`compute_degree_posterior_scalar`, the ground truth the
-    equivalence tests pin the engine against.
+    scalar :func:`repro.core.degree_pmf` calls.  That scalar loop is the
+    reference in ``tests/oracles/posterior.py``, which the equivalence
+    tests pin this function against.
     """
     indptr, data = uncertain.incident_probability_csr()
     matrix = degree_posterior_matrix(
         indptr, data, method=method, width=width, kernel=kernel
     )
-    return DegreePosterior(matrix)
-
-
-def compute_degree_posterior_scalar(
-    uncertain: UncertainGraph,
-    *,
-    method: str = "auto",
-    width: int | None = None,
-) -> DegreePosterior:
-    """Reference implementation of :func:`compute_degree_posterior`.
-
-    One scalar :func:`repro.core.degree_pmf` call per vertex.  Kept as
-    the ground truth for the batched engine's equivalence tests (and as
-    the baseline side of ``benchmarks/bench_posterior_batch.py``); not
-    used on any hot path.
-    """
-    n = uncertain.num_vertices
-    prob_vectors = [uncertain.incident_probabilities(v) for v in range(n)]
-    if width is None:
-        max_support = max((len(p) for p in prob_vectors), default=0)
-        width = max_support + 1
-    matrix = np.zeros((n, width), dtype=np.float64)
-    for v, probs in enumerate(prob_vectors):
-        matrix[v] = degree_pmf(probs, method=method, support=width - 1)
     return DegreePosterior(matrix)
 
 
@@ -341,6 +316,11 @@ def is_k_eps_obfuscation(
     *,
     method: str = "auto",
 ) -> bool:
-    """Definition 2 verdict: is ``uncertain`` a (k, ε)-obfuscation of G?"""
+    """Definition 2 verdict: is ``uncertain`` a (k, ε)-obfuscation of G?
+
+    ``eps`` must lie in ``[0, 1)``, the tolerance range of Definition 2.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must be in [0, 1), got {eps}")
     degrees = original.degrees() if isinstance(original, Graph) else original
     return tolerance_achieved(uncertain, degrees, k, method=method) <= eps

@@ -5,27 +5,18 @@ i.e. density proportional to ``exp(-r²/(2σ²))`` on the unit interval.
 Small σ concentrates mass near 0 (little injected uncertainty); large σ
 flattens towards uniform.
 
-The vectorised sampler supports a *different* σ per element because
-Algorithm 2 redistributes the global budget into per-pair ``σ(e)``
-values (Eq. 7).  Strategy:
+Algorithm 2 (:mod:`repro.core.generate`) draws one ``r_e`` per
+candidate pair, each with its own σ, because it redistributes the
+global budget into per-pair ``σ(e)`` values (Eq. 7).  Two parts serve
+those pair-keyed draws:
 
-* ``σ = 0`` → exactly 0 (no perturbation).
-* ``σ ≥ UNIFORM_THRESHOLD`` → uniform on [0, 1]; at σ = 8 the density
-  ratio between the endpoints is ``exp(-1/128) ≈ 0.992``, so the
-  truncated normal is within 0.8% of uniform and rejection would waste
-  ~10 draws per sample for no accuracy gain.
-* otherwise → rejection sampling from ``|N(0, σ)|`` with acceptance
-  ``erf(1/(σ√2))`` (≥ 0.68 for σ ≤ 1), which is exact and needs no
-  inverse-erf dependency.
-
-Two additions serve Algorithm 2's pair-keyed perturbation draws
-(:mod:`repro.core.generate`):
-
-* an **inverse-CDF sampler** (:func:`perturbations_from_uniforms` on top
-  of :func:`erfinv_array`) that maps one uniform per pair straight
-  through ``R_σ⁻¹`` in a single vectorised pass — no redraw rounds, even
-  in the σ ≈ 4–8 band where the rejection acceptance collapses towards
-  ``erf(1/(σ√2)) ≈ 0.1``;
+* an **inverse-CDF sampler** (:func:`truncated_normal_ppf`, called as
+  :func:`perturbations_from_uniforms`, on top of :func:`erfinv_array`)
+  that maps one uniform per pair straight through ``R_σ⁻¹`` in a single
+  vectorised pass.  ``σ = 0`` yields exactly 0 (no perturbation), and
+  ``σ ≥ UNIFORM_THRESHOLD`` passes the uniform through: at σ = 8 the
+  density ratio between the endpoints is ``exp(-1/128) ≈ 0.992``, so
+  the truncated normal is within 0.8% of uniform;
 * **counter-based pair substreams** (:func:`pair_stream_uniforms`): each
   pair code acts as the counter of its own keyed stream (Salmon et al.,
   "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so a pair's
@@ -41,7 +32,6 @@ import zlib
 import numpy as np
 
 from repro.core.degree_distribution import erf_array
-from repro.utils.rng import as_rng
 
 #: σ above which R_σ is replaced by the uniform distribution (see module
 #: docstring for the accuracy argument).
@@ -83,48 +73,6 @@ def truncated_normal_mean(sigma: float) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     num = sigma * math.sqrt(2.0 / math.pi) * (1.0 - math.exp(-1.0 / (2.0 * sigma**2)))
     return num / math.erf(1.0 / (sigma * _SQRT2))
-
-
-def sample_perturbations(sigmas: np.ndarray, *, seed=None) -> np.ndarray:
-    """Draw one ``r_e ~ R_{σ(e)}`` per entry of ``sigmas``.
-
-    Parameters
-    ----------
-    sigmas:
-        Per-pair spread parameters, each ≥ 0 (0 yields exactly 0).
-    seed:
-        Anything accepted by :func:`repro.utils.as_rng`.
-
-    Returns
-    -------
-    numpy.ndarray
-        Samples in ``[0, 1]``, same shape as ``sigmas``.
-    """
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.size and sigmas.min() < 0:
-        raise ValueError("sigma values must be non-negative")
-    rng = as_rng(seed)
-    out = np.zeros(sigmas.shape, dtype=np.float64)
-
-    flat_sigma = sigmas.ravel()
-    flat_out = out.ravel()
-
-    uniform_mask = flat_sigma >= UNIFORM_THRESHOLD
-    if uniform_mask.any():
-        flat_out[uniform_mask] = rng.random(int(uniform_mask.sum()))
-
-    todo = np.flatnonzero((flat_sigma > 0.0) & ~uniform_mask)
-    while todo.size:
-        draws = np.abs(rng.normal(0.0, flat_sigma[todo]))
-        accepted = draws <= 1.0
-        flat_out[todo[accepted]] = draws[accepted]
-        todo = todo[~accepted]
-    return flat_out.reshape(sigmas.shape)
-
-
-def sample_perturbation(sigma: float, *, seed=None) -> float:
-    """Scalar convenience wrapper around :func:`sample_perturbations`."""
-    return float(sample_perturbations(np.array([sigma]), seed=seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +180,12 @@ def erfinv_array(y: np.ndarray) -> np.ndarray:
 def truncated_normal_ppf(u: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Inverse CDF of ``R_σ``: ``r = σ√2·erfinv(u·erf(1/(σ√2)))``.
 
-    Vectorised over per-element σ with the same regime split as
-    :func:`sample_perturbations`: ``σ = 0`` yields exactly 0 and
+    Vectorised over per-element σ: ``σ = 0`` yields exactly 0 and
     ``σ ≥`` :data:`UNIFORM_THRESHOLD` passes the uniform through
-    unchanged (the distribution the rejection path samples there).
-    Outputs are clipped to ``[0, 1]`` — by construction
-    ``u·erf(1/(σ√2)) ≤ erf(1/(σ√2))`` keeps ``r ≤ 1``, the clip only
-    guards the last-ulp rounding of the σ where ``erf`` saturates.
+    unchanged (see the module docstring).  Outputs are clipped to
+    ``[0, 1]`` — by construction ``u·erf(1/(σ√2)) ≤ erf(1/(σ√2))``
+    keeps ``r ≤ 1``, the clip only guards the last-ulp rounding of the
+    σ where ``erf`` saturates.
 
     Parameters
     ----------
@@ -280,19 +227,6 @@ def perturbations_from_uniforms(
     with the argument order Algorithm 2 reads naturally.
     """
     return truncated_normal_ppf(uniforms, sigmas)
-
-
-def sample_perturbations_inverse(sigmas: np.ndarray, *, seed=None) -> np.ndarray:
-    """Drop-in :func:`sample_perturbations` via the inverse CDF.
-
-    Consumes exactly ``sigmas.size`` uniforms from the stream (one per
-    element, including σ = 0 entries — a fixed draw count is the point:
-    downstream stream positions never depend on acceptance luck).
-    Distribution-equal to the rejection path, draw-for-draw different.
-    """
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    rng = as_rng(seed)
-    return truncated_normal_ppf(rng.random(sigmas.shape), sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +272,7 @@ def pair_stream_uniforms(
     :func:`_splitmix64`; the top 53 bits become the uniform, exactly
     how ``numpy`` converts words to doubles.  No sequential state means
     draws are independent of evaluation order and of every other pair —
-    the invariance the array engine's base/fold posterior needs to see
+    the invariance Algorithm 2's base/fold posterior needs to see
     bit-equal probabilities for pairs shared across attempts.
     """
     codes = np.asarray(codes)

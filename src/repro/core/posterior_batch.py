@@ -25,8 +25,10 @@ vectorised passes over a CSR export of the incident probabilities
   per-bin ``math.erf`` loop per vertex.
 * **Empty vertices** — a direct ``X[v, 0] = 1`` write.
 
-The scalar path (:func:`repro.core.degree_pmf` et al.) is kept as the
-ground truth; equivalence tests pin the batched results to it at 1e-12.
+The scalar kernels (:func:`repro.core.degree_pmf` et al.) are the
+ground truth: the equivalence tests pin the batched kernels to them,
+and the whole matrix to the per-vertex loop of
+``tests/oracles/posterior.py``, at 1e-12.
 """
 
 from __future__ import annotations

@@ -135,9 +135,7 @@ def obfuscate(
             elapsed_seconds=time.perf_counter() - t0,
         )
 
-    with span(
-        "obfuscate", k=params.k, eps=params.eps, c=params.c, engine=params.engine
-    ):
+    with span("obfuscate", k=params.k, eps=params.eps, c=params.c):
         # Phase 1 (Lines 1-6): double σ_u until a (k, ε)-obfuscation
         # appears.
         sigma_upper = params.sigma_init

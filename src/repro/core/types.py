@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.uncertain.graph import UncertainGraph
@@ -43,18 +44,6 @@ class ObfuscationParams:
         Q-sampled by vertex uniqueness and σ is redistributed per Eq. 7;
         ``"uniform"`` — ablation: uniform pair sampling and a flat
         ``σ(e) = σ``, isolating how much the uniqueness targeting buys.
-    engine:
-        Algorithm-2 execution engine.  ``"array"`` (default) builds the
-        candidate sets with vectorised toggling and checks all of a
-        probe's attempts in one stacked base/fold posterior pass;
-        ``"sequential"`` is the per-draw Python loop kept as pinned
-        ground truth.  Both consume the identical RNG stream, so a fixed
-        seed produces the same candidate sets, obfuscations and search
-        traces on either.  Every pair's perturbation ``r_e ~ R_σ(e)``
-        (and its white-noise coin and value) comes from a counter-based
-        substream keyed by the pair code, so it is a pure function of
-        ``(master key, pair code, σ)`` and pairs shared between attempts
-        keep bit-equal probabilities.
     """
 
     k: float
@@ -67,23 +56,26 @@ class ObfuscationParams:
     sigma_max: float = 128.0
     delta: float = 1e-3
     weighting: str = "uniqueness"
-    engine: str = "array"
 
     def __post_init__(self):
-        if self.k < 1:
+        # Every bound is written so that NaN fails it.
+        if not self.k >= 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eps must be in [0, 1), got {self.eps}")
-        if self.c < 1.0:
-            raise ValueError(f"c must be >= 1, got {self.c}")
+        if not 1.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and >= 1, got {self.c}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {self.q}")
-        if self.attempts < 1:
+        if not self.attempts >= 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.sigma_init <= 0 or self.sigma_max < self.sigma_init:
-            raise ValueError("need 0 < sigma_init <= sigma_max")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0 < self.sigma_init <= self.sigma_max < math.inf:
+            raise ValueError(
+                "need 0 < sigma_init <= sigma_max < inf, got "
+                f"sigma_init={self.sigma_init}, sigma_max={self.sigma_max}"
+            )
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
         if self.method not in ("exact", "normal", "auto"):
             raise ValueError(
                 f"method must be 'exact', 'normal' or 'auto', got {self.method!r}"
@@ -91,10 +83,6 @@ class ObfuscationParams:
         if self.weighting not in ("uniqueness", "uniform"):
             raise ValueError(
                 f"weighting must be 'uniqueness' or 'uniform', got {self.weighting!r}"
-            )
-        if self.engine not in ("array", "sequential"):
-            raise ValueError(
-                f"engine must be 'array' or 'sequential', got {self.engine!r}"
             )
 
 
@@ -116,12 +104,11 @@ class GenerationOutcome:
 
     ``rows_folded`` / ``rows_recomputed`` report posterior fold-path
     coverage: of the ``n`` degree-PMF rows each evaluated attempt's
-    Definition-2 check needed, how many the array engine served from
-    the probe's cached base rows plus a fold-in of the attempt's
-    additions, versus recomputed (CLT rows, and exact rows that lost an
-    edge to candidate toggling).  The sequential engine recomputes
-    every row by construction, so its ``rows_folded`` is always 0 — the
-    counters are how benchmarks assert the fold path stays hot.
+    Definition-2 check needed, how many were served from the probe's
+    cached base rows plus a fold-in of the attempt's additions, versus
+    recomputed (CLT rows, and exact rows that lost an edge to candidate
+    toggling) — the counters are how benchmarks assert the fold path
+    stays hot.
     """
 
     eps_achieved: float

@@ -160,35 +160,19 @@ def pair_uniqueness(
     return 0.5 * (vertex_uniqueness[us] + vertex_uniqueness[vs])
 
 
-def redistribute_sigma(
-    sigma: float, pair_uniq: np.ndarray
-) -> np.ndarray:
-    """Equation 7: spread the uncertainty budget σ over candidate pairs.
-
-    ``σ(e) = σ·|E_C|·U_σ(e) / Σ_{e'} U_σ(e')`` — the mean of the returned
-    vector equals ``σ`` exactly, with more-unique pairs receiving more.
-    """
-    pair_uniq = np.asarray(pair_uniq, dtype=np.float64)
-    if pair_uniq.size == 0:
-        return pair_uniq.copy()
-    total = pair_uniq.sum()
-    if total <= 0:
-        raise ValueError("pair uniqueness values must have positive total mass")
-    return sigma * pair_uniq.size * pair_uniq / total
-
-
 def redistribute_sigma_invariant(
     sigma: float, pair_uniq: np.ndarray, mean_uniqueness: float
 ) -> np.ndarray:
     """Candidate-set-independent Eq. 7: ``σ(e) = σ·U_σ(e)/μ_Q``.
 
-    :func:`redistribute_sigma` normalises by the *realised* mean
-    uniqueness of the candidate set, so a pair's σ(e) shifts whenever
-    any other pair enters or leaves ``E_C`` — which would re-randomise
-    every probability each attempt and defeat the array engine's
-    per-probe base rows.  Algorithm 2's pair-keyed perturbation draws
-    therefore replace the empirical normaliser with its expectation under the
-    pair-sampling distribution, ``μ_Q = Σ_v Q(v)·U_σ(P(v))`` (endpoints
+    Eq. 7 as printed, ``σ(e) = σ·|E_C|·U_σ(e) / Σ_{e'∈E_C} U_σ(e')``,
+    normalises by the *realised* mean uniqueness of the candidate set,
+    so a pair's σ(e) shifts whenever any other pair enters or leaves
+    ``E_C`` — which would re-randomise every probability each attempt
+    and defeat Algorithm 2's per-probe base rows.  Algorithm 2's
+    pair-keyed perturbation draws therefore replace the empirical
+    normaliser with its expectation under the pair-sampling
+    distribution, ``μ_Q = Σ_v Q(v)·U_σ(P(v))`` (endpoints
     are Q-i.i.d., so ``E[U_σ(e)] = μ_Q``): σ(e) becomes a pure function
     of the pair and σ, and the mean of σ(e) over the Q-sampled
     candidates still concentrates on σ as ``|E_C|`` grows.  Under the

@@ -1,10 +1,11 @@
 """Seed-equivalence of the array-native candidate builder (PR 4).
 
 The vectorised builder consumes the *same* RNG stream as the per-draw
-Python loop, so at any fixed RNG state both must produce bit-identical
-candidate sets, identical draw counts, and leave the generator in the
-same state.  These tests pin that contract — the foundation of the
-array engine's "same seed ⇒ same obfuscation" guarantee.
+Python loop of ``tests/oracles/generate.py``, so at any fixed RNG state
+both must produce bit-identical candidate sets, identical draw counts,
+and leave the generator in the same state.  These tests pin that
+contract — the foundation of the "same seed ⇒ same obfuscation"
+guarantee.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from repro.core.generate import (
     SearchContext,
     WeightedVertexSampler,
     _build_candidate_codes,
-    _build_candidate_set,
     _merge_sorted_disjoint,
     _sorted_contains,
 )
 from repro.graphs.datasets import paper_scale_dataset
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
 from repro.graphs.graph import Graph
+from tests.oracles.generate import build_candidate_set
 
 
 def _uniform_probs(n: int) -> np.ndarray:
@@ -161,7 +162,7 @@ class TestBuilderEquivalence:
         sampler = WeightedVertexSampler(probs)
         rng_seq = np.random.default_rng(seed)
         rng_vec = np.random.default_rng(seed)
-        candidate, draws_seq = _build_candidate_set(
+        candidate, draws_seq = build_candidate_set(
             n, graph.edge_set(), target, probs, rng_seq
         )
         codes, is_edge, removed, draws_vec = _build_candidate_codes(
@@ -185,7 +186,7 @@ class TestBuilderEquivalence:
         probs = _uniform_probs(5)
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
-        candidate, d1 = _build_candidate_set(5, star5.edge_set(), 4, probs, rng_a)
+        candidate, d1 = build_candidate_set(5, star5.edge_set(), 4, probs, rng_a)
         codes, is_edge, removed, d2 = _build_candidate_codes(
             5, star5.edge_codes(), 4, WeightedVertexSampler(probs), rng_b
         )
@@ -202,7 +203,7 @@ class TestBuilderEquivalence:
         rng_a = np.random.default_rng(2)
         rng_b = np.random.default_rng(2)
         with pytest.raises(CandidateStallError) as seq_err:
-            _build_candidate_set(5, star5.edge_set(), target, probs, rng_a)
+            build_candidate_set(5, star5.edge_set(), target, probs, rng_a)
         with pytest.raises(CandidateStallError) as vec_err:
             _build_candidate_codes(
                 5, star5.edge_codes(), target, WeightedVertexSampler(probs), rng_b

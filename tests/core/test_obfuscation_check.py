@@ -130,3 +130,8 @@ class TestIsKEpsObfuscation:
         ug = UncertainGraph.from_graph(g)
         assert is_k_eps_obfuscation(ug, g, k=4, eps=0.0)
         assert not is_k_eps_obfuscation(ug, g, k=5, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.0, 1.5, math.nan])
+    def test_eps_outside_unit_interval_rejected(self, fig1a, fig1b, eps):
+        with pytest.raises(ValueError, match="eps"):
+            is_k_eps_obfuscation(fig1b, fig1a, 3, eps)

@@ -1,14 +1,12 @@
-"""Tests for the truncated-normal perturbation sampler (Equation 6)."""
+"""Tests for the truncated-normal perturbation distribution (Equation 6).
+
+The inverse-CDF sampler is tested in ``test_perturbation_stream.py``.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.perturbation import (
-    UNIFORM_THRESHOLD,
-    sample_perturbation,
-    sample_perturbations,
     truncated_normal_cdf,
     truncated_normal_mean,
     truncated_normal_pdf,
@@ -60,63 +58,3 @@ class TestMean:
     def test_monotone_in_sigma(self):
         means = [truncated_normal_mean(s) for s in (0.05, 0.2, 1.0, 5.0)]
         assert means == sorted(means)
-
-
-class TestSampler:
-    def test_bounds(self):
-        rng = np.random.default_rng(0)
-        sigmas = rng.uniform(0.01, 20.0, size=5000)
-        samples = sample_perturbations(sigmas, seed=1)
-        assert (samples >= 0).all() and (samples <= 1).all()
-
-    def test_sigma_zero_gives_zero(self):
-        samples = sample_perturbations(np.zeros(10), seed=0)
-        assert (samples == 0).all()
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sample_perturbations(np.array([-0.1]))
-
-    def test_empirical_mean_matches_theory(self):
-        for sigma in (0.1, 0.5, 2.0):
-            samples = sample_perturbations(np.full(40000, sigma), seed=7)
-            assert samples.mean() == pytest.approx(
-                truncated_normal_mean(sigma), abs=0.01
-            )
-
-    def test_huge_sigma_near_uniform(self):
-        samples = sample_perturbations(np.full(40000, UNIFORM_THRESHOLD + 5), seed=2)
-        assert samples.mean() == pytest.approx(0.5, abs=0.02)
-        assert samples.std() == pytest.approx(np.sqrt(1 / 12), abs=0.02)
-
-    def test_smaller_sigma_smaller_perturbation(self):
-        small = sample_perturbations(np.full(5000, 0.05), seed=3).mean()
-        large = sample_perturbations(np.full(5000, 0.8), seed=3).mean()
-        assert small < large
-
-    def test_shape_preserved(self):
-        sigmas = np.full((3, 4), 0.2)
-        assert sample_perturbations(sigmas, seed=0).shape == (3, 4)
-
-    def test_deterministic_with_seed(self):
-        a = sample_perturbations(np.full(50, 0.3), seed=11)
-        b = sample_perturbations(np.full(50, 0.3), seed=11)
-        assert np.array_equal(a, b)
-
-    def test_scalar_wrapper(self):
-        val = sample_perturbation(0.2, seed=5)
-        assert 0.0 <= val <= 1.0
-
-    @settings(max_examples=30)
-    @given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
-    def test_any_sigma_in_bounds_property(self, sigma):
-        samples = sample_perturbations(np.full(20, sigma), seed=0)
-        assert (samples >= 0).all() and (samples <= 1).all()
-
-    def test_distribution_matches_cdf(self):
-        """KS-style check of the rejection sampler against the exact CDF."""
-        sigma = 0.35
-        samples = np.sort(sample_perturbations(np.full(20000, sigma), seed=9))
-        empirical = np.arange(1, len(samples) + 1) / len(samples)
-        theoretical = truncated_normal_cdf(samples, sigma)
-        assert np.abs(empirical - theoretical).max() < 0.015

@@ -34,7 +34,6 @@ from repro.core.perturbation import (
     erfinv_newton,
     pair_stream_uniforms,
     perturbations_from_uniforms,
-    sample_perturbations_inverse,
     truncated_normal_cdf,
     truncated_normal_mean,
     truncated_normal_ppf,
@@ -142,7 +141,8 @@ class TestTruncatedNormalPpf:
     def test_moment_pinning_against_mean(self):
         """Empirical inverse-CDF moments match the analytic R_σ mean."""
         for sigma in (0.1, 0.5, 2.0, 5.0):
-            samples = sample_perturbations_inverse(np.full(40000, sigma), seed=7)
+            u = np.random.default_rng(7).random(40000)
+            samples = truncated_normal_ppf(u, np.full(40000, sigma))
             assert samples.mean() == pytest.approx(
                 truncated_normal_mean(sigma), abs=0.01
             )
@@ -152,8 +152,7 @@ class TestTruncatedNormalPpf:
         assert (truncated_normal_ppf(u, np.zeros(100)) == 0.0).all()
 
     def test_uniform_regime_passthrough(self):
-        """σ ≥ UNIFORM_THRESHOLD returns the uniform unchanged — the
-        identical distribution the rejection sampler uses there."""
+        """σ ≥ UNIFORM_THRESHOLD returns the uniform unchanged."""
         u = np.random.default_rng(2).random(256)
         out = truncated_normal_ppf(u, np.full(256, UNIFORM_THRESHOLD))
         np.testing.assert_array_equal(out, u)
@@ -187,21 +186,10 @@ class TestTruncatedNormalPpf:
         with pytest.raises(ValueError, match="non-negative"):
             truncated_normal_ppf(np.array([0.5]), np.array([-0.1]))
 
-    def test_inverse_sampler_consumes_fixed_draws(self):
-        """One uniform per element, σ-independent — stream positions
-        never depend on acceptance luck (unlike the rejection path)."""
-        sigmas = np.array([0.0, 0.2, 5.0, 9.0])
-        rng_a = np.random.default_rng(3)
-        rng_b = np.random.default_rng(3)
-        sample_perturbations_inverse(sigmas, seed=rng_a)
-        rng_b.random(sigmas.shape)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
     def test_ks_against_cdf(self):
         sigma = 0.35
-        samples = np.sort(
-            sample_perturbations_inverse(np.full(20000, sigma), seed=9)
-        )
+        u = np.random.default_rng(9).random(20000)
+        samples = np.sort(truncated_normal_ppf(u, np.full(20000, sigma)))
         empirical = np.arange(1, len(samples) + 1) / len(samples)
         theoretical = truncated_normal_cdf(samples, sigma)
         assert np.abs(empirical - theoretical).max() < 0.015

@@ -19,7 +19,6 @@ from repro.core.degree_distribution import (
 )
 from repro.core.obfuscation_check import (
     compute_degree_posterior,
-    compute_degree_posterior_scalar,
     tolerance_achieved,
 )
 from repro.core.posterior_batch import (
@@ -29,6 +28,7 @@ from repro.core.posterior_batch import (
 )
 from repro.uncertain.graph import UncertainGraph
 from tests.oracles.fold import fold_in_bernoulli
+from tests.oracles.posterior import compute_degree_posterior_scalar
 
 ATOL = 1e-12
 

@@ -1,10 +1,10 @@
-"""SearchContext reuse + array/sequential engine equivalence (PR 4).
+"""SearchContext reuse + equivalence with the sequential oracle.
 
 The headline regression pin: a full :func:`repro.core.obfuscate` run —
-doubling phase, bisection, winning release — must be *unchanged* under
-the array engine at a fixed seed, because both engines consume the
-identical RNG stream and every vectorised stage is bit-compatible with
-its sequential ground truth.
+doubling phase, bisection, winning release — must match the per-draw
+reference of ``tests/oracles/generate.py`` at a fixed seed, because
+both consume the identical RNG stream and every vectorised stage is
+bit-compatible with its sequential counterpart.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from repro.core.generate import SearchContext, generate_obfuscation
 from repro.core.search import obfuscate, obfuscate_with_fallback
 from repro.core.types import ObfuscationParams
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
+from tests.oracles.generate import (
+    generate_obfuscation as sequential_generate,
+    run_sequential,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,17 +29,17 @@ def graph():
     return erdos_renyi(90, 0.1, seed=7)
 
 
-def _params(engine, **kw):
+def _params(**kw):
     base = dict(k=4, eps=0.15, attempts=3)
     base.update(kw)
-    return ObfuscationParams(engine=engine, **base)
+    return ObfuscationParams(**base)
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3, 1.0])
     def test_generate_identical_at_fixed_seed(self, graph, sigma):
-        array = generate_obfuscation(graph, sigma, _params("array"), seed=11)
-        seq = generate_obfuscation(graph, sigma, _params("sequential"), seed=11)
+        array = generate_obfuscation(graph, sigma, _params(), seed=11)
+        seq = sequential_generate(graph, sigma, _params(), seed=11)
         assert array.eps_achieved == seq.eps_achieved
         assert array.attempts_made == seq.attempts_made
         assert array.pairs_drawn == seq.pairs_drawn
@@ -46,8 +50,8 @@ class TestEngineEquivalence:
             )
 
     def test_white_noise_path_identical(self, graph):
-        array = generate_obfuscation(graph, 0.3, _params("array", q=0.4), seed=5)
-        seq = generate_obfuscation(graph, 0.3, _params("sequential", q=0.4), seed=5)
+        array = generate_obfuscation(graph, 0.3, _params(q=0.4), seed=5)
+        seq = sequential_generate(graph, 0.3, _params(q=0.4), seed=5)
         assert array.eps_achieved == seq.eps_achieved
         assert sorted(array.uncertain.candidate_pairs()) == sorted(
             seq.uncertain.candidate_pairs()
@@ -55,8 +59,8 @@ class TestEngineEquivalence:
 
     def test_uniform_weighting_identical(self, graph):
         kw = dict(weighting="uniform")
-        array = generate_obfuscation(graph, 0.2, _params("array", **kw), seed=9)
-        seq = generate_obfuscation(graph, 0.2, _params("sequential", **kw), seed=9)
+        array = generate_obfuscation(graph, 0.2, _params(**kw), seed=9)
+        seq = sequential_generate(graph, 0.2, _params(**kw), seed=9)
         assert array.eps_achieved == seq.eps_achieved
 
     @pytest.mark.parametrize(
@@ -64,13 +68,9 @@ class TestEngineEquivalence:
     )
     def test_full_obfuscate_trace_unchanged(self, graph, k, eps):
         """The pinned end-to-end regression: identical search traces."""
-        array = obfuscate(
-            graph, k=k, eps=eps, seed=0, attempts=2, delta=0.02, engine="array"
-        )
-        seq = obfuscate(
-            graph, k=k, eps=eps, seed=0, attempts=2, delta=0.02,
-            engine="sequential",
-        )
+        kwargs = dict(k=k, eps=eps, seed=0, attempts=2, delta=0.02)
+        array = obfuscate(graph, **kwargs)
+        seq = run_sequential(obfuscate, graph, **kwargs)
         assert [(s.sigma, s.eps_achieved, s.phase) for s in array.trace] == [
             (s.sigma, s.eps_achieved, s.phase) for s in seq.trace
         ]
@@ -83,8 +83,8 @@ class TestEngineEquivalence:
 
     def test_failure_trace_unchanged(self, star5):
         kwargs = dict(k=5, eps=0.0, seed=0, attempts=1, delta=0.1, sigma_max=4.0)
-        array = obfuscate(star5, engine="array", **kwargs)
-        seq = obfuscate(star5, engine="sequential", **kwargs)
+        array = obfuscate(star5, **kwargs)
+        seq = run_sequential(obfuscate, star5, **kwargs)
         assert not array.success and not seq.success
         assert math.isnan(array.sigma) and math.isnan(seq.sigma)
         assert array.edges_processed == seq.edges_processed
@@ -94,13 +94,9 @@ class TestEngineEquivalence:
 
     def test_powerlaw_graph_trace_unchanged(self):
         graph = powerlaw_cluster(150, 3, 0.4, seed=1)
-        array = obfuscate(
-            graph, k=5, eps=0.1, seed=2, attempts=2, delta=0.05, engine="array"
-        )
-        seq = obfuscate(
-            graph, k=5, eps=0.1, seed=2, attempts=2, delta=0.05,
-            engine="sequential",
-        )
+        kwargs = dict(k=5, eps=0.1, seed=2, attempts=2, delta=0.05)
+        array = obfuscate(graph, **kwargs)
+        seq = run_sequential(obfuscate, graph, **kwargs)
         assert [(s.sigma, s.eps_achieved) for s in array.trace] == [
             (s.sigma, s.eps_achieved) for s in seq.trace
         ]
@@ -154,8 +150,8 @@ class TestSearchContext:
         kwargs = dict(
             c_values=(1.5, 2.0), seed=0, attempts=1, delta=0.1, sigma_max=2.0
         )
-        array = obfuscate_with_fallback(star5, 5, 0.0, engine="array", **kwargs)
-        seq = obfuscate_with_fallback(star5, 5, 0.0, engine="sequential", **kwargs)
+        array = obfuscate_with_fallback(star5, 5, 0.0, **kwargs)
+        seq = run_sequential(obfuscate_with_fallback, star5, 5, 0.0, **kwargs)
         assert array.params.c == seq.params.c == 2.0
         assert array.edges_processed == seq.edges_processed
 
@@ -163,12 +159,10 @@ class TestSearchContext:
 class TestOutcomeAccounting:
     def test_attempts_made_is_winning_attempt(self, graph):
         """The winning attempt index survives (no clobber to attempts)."""
-        out = generate_obfuscation(graph, 0.4, _params("array", attempts=4), seed=2)
+        out = generate_obfuscation(graph, 0.4, _params(attempts=4), seed=2)
         assert out.success
         assert 1 <= out.attempts_made <= 4
-        seq = generate_obfuscation(
-            graph, 0.4, _params("sequential", attempts=4), seed=2
-        )
+        seq = sequential_generate(graph, 0.4, _params(attempts=4), seed=2)
         assert out.attempts_made == seq.attempts_made
 
     def test_attempts_made_on_failure_counts_all(self, star5):
@@ -178,14 +172,12 @@ class TestOutcomeAccounting:
         assert out.attempts_made == 3
 
     def test_pairs_drawn_counts_actual_draws(self, graph):
-        out = generate_obfuscation(graph, 0.3, _params("array"), seed=1)
+        out = generate_obfuscation(graph, 0.3, _params(), seed=1)
         # every attempt consumes at least one sampling batch of 4096 pairs
         assert out.pairs_drawn >= 4096 * 3
 
     def test_edges_processed_sums_probe_draws(self, graph):
-        result = obfuscate(
-            graph, k=4, eps=0.15, seed=0, attempts=2, delta=0.05, engine="array"
-        )
+        result = obfuscate(graph, k=4, eps=0.15, seed=0, attempts=2, delta=0.05)
         assert result.edges_processed > 0
         assert result.edges_processed % 4096 == 0  # whole batches only
         assert result.edges_per_second > 0

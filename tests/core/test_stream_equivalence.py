@@ -5,10 +5,10 @@ Two contracts:
 * the default stream is pinned across commits — the golden test below
   pins the full release (SHA-256 of the pair arrays), σ*, ε̃, the
   search trace and the fold coverage of a fixed-seed run;
-* it is deterministic and engine-independent: array and sequential
-  engines consume the identical master stream, so candidate sets and
-  pair probabilities match bit-for-bit (the array posterior's
-  base/fold evaluation may drift ≤1e-12 from the sequential full
+* it is deterministic and matches the sequential oracle of
+  ``tests/oracles/generate.py``: both consume the identical master
+  stream, so candidate sets and pair probabilities match bit-for-bit
+  (the base/fold evaluation may drift ≤1e-12 from the oracle's full
   recompute, which never flips the Definition-2 outcomes on these
   fixtures).
 """
@@ -24,6 +24,10 @@ from repro.core.generate import generate_obfuscation
 from repro.core.search import obfuscate
 from repro.core.types import ObfuscationParams
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
+from tests.oracles.generate import (
+    generate_obfuscation as sequential_generate,
+    run_sequential,
+)
 
 
 def _release_hash(uncertain) -> str:
@@ -44,17 +48,18 @@ def graph():
 class TestPairKeyedStreamGolden:
     """Golden values of the default stream at a fixed seed.
 
-    The array == sequential pins below would still pass if
-    ``pair_stream_uniforms`` (or anything else both engines share)
-    changed; this one pins the released bits across commits.
+    The array == oracle pins below would still pass if
+    ``pair_stream_uniforms`` (or anything else both share) changed;
+    this one pins the released bits across commits.
     """
 
     @pytest.mark.parametrize("engine", ["array", "sequential"])
     def test_full_search_golden(self, graph, engine):
-        result = obfuscate(
-            graph, k=4, eps=0.15, seed=0, attempts=2, delta=0.02,
-            engine=engine,
-        )
+        kwargs = dict(k=4, eps=0.15, seed=0, attempts=2, delta=0.02)
+        if engine == "array":
+            result = obfuscate(graph, **kwargs)
+        else:
+            result = run_sequential(obfuscate, graph, **kwargs)
         assert result.sigma == 0.015625
         assert result.eps_achieved == 0.05555555555555555
         assert result.edges_processed == 114688
@@ -72,14 +77,10 @@ class TestPairKeyedStreamGolden:
 class TestPairKeyedEngineEquivalence:
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3, 1.0, 5.0])
     def test_identical_releases_at_fixed_seed(self, graph, sigma):
-        """Same candidate sets, bit-equal probabilities on either engine."""
-        kw = dict(k=4, eps=0.15, attempts=3)
-        array = generate_obfuscation(
-            graph, sigma, ObfuscationParams(engine="array", **kw), seed=11
-        )
-        seq = generate_obfuscation(
-            graph, sigma, ObfuscationParams(engine="sequential", **kw), seed=11
-        )
+        """Same candidate sets, bit-equal probabilities as the oracle."""
+        params = ObfuscationParams(k=4, eps=0.15, attempts=3)
+        array = generate_obfuscation(graph, sigma, params, seed=11)
+        seq = sequential_generate(graph, sigma, params, seed=11)
         assert array.eps_achieved == seq.eps_achieved
         assert array.attempts_made == seq.attempts_made
         assert array.pairs_drawn == seq.pairs_drawn
@@ -88,25 +89,17 @@ class TestPairKeyedEngineEquivalence:
 
     @pytest.mark.parametrize("method", ["auto", "exact", "normal"])
     def test_methods_agree_across_engines(self, graph, method):
-        kw = dict(k=4, eps=0.15, attempts=2, method=method)
-        array = generate_obfuscation(
-            graph, 0.3, ObfuscationParams(engine="array", **kw), seed=3
-        )
-        seq = generate_obfuscation(
-            graph, 0.3, ObfuscationParams(engine="sequential", **kw), seed=3
-        )
+        params = ObfuscationParams(k=4, eps=0.15, attempts=2, method=method)
+        array = generate_obfuscation(graph, 0.3, params, seed=3)
+        seq = sequential_generate(graph, 0.3, params, seed=3)
         assert array.eps_achieved == seq.eps_achieved
         if array.success:
             assert _release_hash(array.uncertain) == _release_hash(seq.uncertain)
 
     def test_full_search_trace_matches(self, graph):
-        array = obfuscate(
-            graph, k=4, eps=0.15, seed=0, attempts=2, delta=0.02, engine="array"
-        )
-        seq = obfuscate(
-            graph, k=4, eps=0.15, seed=0, attempts=2, delta=0.02,
-            engine="sequential",
-        )
+        kwargs = dict(k=4, eps=0.15, seed=0, attempts=2, delta=0.02)
+        array = obfuscate(graph, **kwargs)
+        seq = run_sequential(obfuscate, graph, **kwargs)
         assert [(s.sigma, s.eps_achieved) for s in array.trace] == [
             (s.sigma, s.eps_achieved) for s in seq.trace
         ]
@@ -115,23 +108,17 @@ class TestPairKeyedEngineEquivalence:
 
     def test_powerlaw_search_matches(self):
         g = powerlaw_cluster(150, 3, 0.4, seed=1)
-        array = obfuscate(g, k=5, eps=0.1, seed=2, attempts=2, delta=0.05)
-        seq = obfuscate(
-            g, k=5, eps=0.1, seed=2, attempts=2, delta=0.05,
-            engine="sequential",
-        )
+        kwargs = dict(k=5, eps=0.1, seed=2, attempts=2, delta=0.05)
+        array = obfuscate(g, **kwargs)
+        seq = run_sequential(obfuscate, g, **kwargs)
         assert [(s.sigma, s.eps_achieved) for s in array.trace] == [
             (s.sigma, s.eps_achieved) for s in seq.trace
         ]
 
     def test_white_noise_path_matches(self, graph):
-        kw = dict(k=4, eps=0.15, attempts=2, q=0.4)
-        array = generate_obfuscation(
-            graph, 0.3, ObfuscationParams(engine="array", **kw), seed=5
-        )
-        seq = generate_obfuscation(
-            graph, 0.3, ObfuscationParams(engine="sequential", **kw), seed=5
-        )
+        params = ObfuscationParams(k=4, eps=0.15, attempts=2, q=0.4)
+        array = generate_obfuscation(graph, 0.3, params, seed=5)
+        seq = sequential_generate(graph, 0.3, params, seed=5)
         assert _release_hash(array.uncertain) == _release_hash(seq.uncertain)
 
     def test_deterministic_across_calls(self, graph):
@@ -150,12 +137,6 @@ class TestFoldCoverageCounters:
         n = graph.num_vertices
         assert out.rows_folded + out.rows_recomputed == n * params.attempts
         assert out.rows_folded > 0
-
-    def test_sequential_engine_never_folds(self, graph):
-        params = ObfuscationParams(k=4, eps=0.15, attempts=3, engine="sequential")
-        out = generate_obfuscation(graph, 0.2, params, seed=1)
-        assert out.rows_folded == 0
-        assert out.rows_recomputed == graph.num_vertices * params.attempts
 
     def test_high_coverage_on_sparse_powerlaw(self):
         g = powerlaw_cluster(400, 2, 0.3, seed=0)

@@ -1,7 +1,11 @@
 """Tests for parameter/result dataclasses."""
 
+import dataclasses
+import math
+
 import pytest
 
+import repro.core
 from repro.core.types import (
     GenerationOutcome,
     ObfuscationParams,
@@ -33,6 +37,29 @@ class TestObfuscationParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ObfuscationParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (name, math.nan)
+            for name in (
+                "k", "eps", "c", "q", "attempts", "sigma_init", "sigma_max", "delta"
+            )
+        ]
+        + [
+            (name, math.inf)
+            for name in ("c", "sigma_init", "sigma_max", "delta")
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ObfuscationParams(**{"k": 2, "eps": 0.1, field: value})
+
+    def test_engine_option_removed(self):
+        """Algorithm 2 has one implementation; no field selects another."""
+        with pytest.raises(TypeError, match="engine"):
+            ObfuscationParams(k=2, eps=0.1, engine="array")
+        assert len(dataclasses.fields(ObfuscationParams)) == 10
 
     def test_frozen(self):
         p = ObfuscationParams(k=2, eps=0.1)
@@ -70,3 +97,18 @@ class TestOutcomes:
             params=params,
         )
         assert res.edges_per_second == 0.0
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "compute_degree_posterior_scalar",
+        "sample_perturbations",
+        "sample_perturbation",
+        "sample_perturbations_inverse",
+        "redistribute_sigma",
+    ],
+)
+def test_reference_code_not_in_library(name):
+    """Reference implementations live in ``tests/oracles``, or are gone."""
+    assert not hasattr(repro.core, name)

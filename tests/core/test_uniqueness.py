@@ -11,7 +11,6 @@ from repro.core.uniqueness import (
     gaussian_kernel,
     pair_uniqueness,
     property_commonness,
-    redistribute_sigma,
 )
 
 
@@ -113,24 +112,6 @@ class TestPropertyCommonness:
 
 
 class TestRedistribution:
-    def test_mean_preserved(self):
-        """Equation 7: the average of σ(e) equals σ."""
-        rng = np.random.default_rng(3)
-        uniq = rng.random(100) + 0.01
-        sigmas = redistribute_sigma(0.25, uniq)
-        assert sigmas.mean() == pytest.approx(0.25)
-
-    def test_proportional_to_uniqueness(self):
-        sigmas = redistribute_sigma(1.0, np.array([1.0, 2.0, 3.0]))
-        assert sigmas[2] / sigmas[0] == pytest.approx(3.0)
-
-    def test_empty_input(self):
-        assert redistribute_sigma(1.0, np.array([])).size == 0
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ValueError):
-            redistribute_sigma(1.0, np.zeros(3))
-
     def test_pair_uniqueness_is_mean_of_endpoints(self):
         vu = np.array([0.1, 0.5, 0.9])
         us = np.array([0, 1])
@@ -138,11 +119,3 @@ class TestRedistribution:
         pu = pair_uniqueness(vu, us, vs)
         assert pu[0] == pytest.approx(0.5)
         assert pu[1] == pytest.approx(0.7)
-
-    def test_prefactor_invariance(self):
-        """Dropping the Gaussian prefactor cannot change σ(e): scaling all
-        uniqueness values by any constant leaves Eq. 7 invariant."""
-        uniq = np.array([0.2, 0.4, 1.0])
-        a = redistribute_sigma(0.5, uniq)
-        b = redistribute_sigma(0.5, 37.5 * uniq)
-        assert np.allclose(a, b)

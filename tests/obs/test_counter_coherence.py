@@ -5,11 +5,14 @@ The refactor that moved run accounting into :mod:`repro.obs` keeps the
 while the registry holds the process totals.  These tests pin the
 contract that the two never drift: after ``reset_metrics()`` the
 registry totals of one seeded run must equal the fields of the result
-it produced — on the array engine AND the sequential ground-truth
-engine.
+it produced.  The sequential oracle of ``tests/oracles/generate.py``
+feeds the same registry counters, so a search run on it must draw
+exactly the pairs the library's search draws.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -18,8 +21,7 @@ from repro.core.search import obfuscate
 from repro.core.types import ObfuscationParams
 from repro.graphs.generators import erdos_renyi
 from repro.obs.metrics import REGISTRY, reset_metrics
-
-ENGINES = ("array", "sequential")
+from tests.oracles.generate import run_sequential
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +29,9 @@ def graph():
     return erdos_renyi(60, 0.15, seed=1)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_obfuscate_counters_match_registry(graph, engine):
+def test_obfuscate_counters_match_registry(graph):
     reset_metrics()
-    result = obfuscate(
-        graph, k=3, eps=0.2, seed=7, attempts=2, delta=0.05, engine=engine
-    )
+    result = obfuscate(graph, k=3, eps=0.2, seed=7, attempts=2, delta=0.05)
     assert result.success
 
     assert REGISTRY.get("search.runs") == 1
@@ -55,10 +54,9 @@ def test_obfuscate_counters_match_registry(graph, engine):
     assert 0 < REGISTRY.get("generate.winners") <= len(result.trace)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_generate_outcome_matches_registry_delta(graph, engine):
+def test_generate_outcome_matches_registry_delta(graph):
     """One Algorithm-2 call adds exactly its outcome fields to the registry."""
-    params = ObfuscationParams(k=3, eps=0.2, attempts=3, engine=engine)
+    params = ObfuscationParams(k=3, eps=0.2, attempts=3)
     reset_metrics()
     before = {
         "pairs": REGISTRY.get("generate.pairs_drawn"),
@@ -83,16 +81,14 @@ def test_generate_outcome_matches_registry_delta(graph, engine):
 
 
 def test_engines_agree_on_pairs_drawn(graph):
-    """Seed-equivalent engines must consume identical candidate-pair draws."""
-    totals = {}
-    for engine in ENGINES:
+    """The library and the seed-equivalent oracle consume identical
+    candidate-pair draws."""
+    totals = []
+    for search in (obfuscate, functools.partial(run_sequential, obfuscate)):
         reset_metrics()
-        result = obfuscate(
-            graph, k=3, eps=0.2, seed=7, attempts=2, delta=0.05, engine=engine
-        )
+        result = search(graph, k=3, eps=0.2, seed=7, attempts=2, delta=0.05)
         assert result.success
-        totals[engine] = (
-            REGISTRY.get("search.probes"),
-            REGISTRY.get("generate.pairs_drawn"),
+        totals.append(
+            (REGISTRY.get("search.probes"), REGISTRY.get("generate.pairs_drawn"))
         )
-    assert totals["array"] == totals["sequential"]
+    assert totals[0] == totals[1]

@@ -119,6 +119,64 @@ class TestObfuscate:
             )
 
 
+class TestNumberValidation:
+    """Out-of-range numbers are usage errors (exit 2, message on stderr,
+    nothing on stdout), caught before any input file is read."""
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--k", "0"),
+            ("--k", "nan"),
+            ("--eps", "1.5"),
+            ("--eps", "nan"),
+            ("--c", "0.5"),
+            ("--c", "nan"),
+            ("--c", "inf"),
+            ("--q", "2"),
+            ("--attempts", "0"),
+            ("--delta", "0"),
+            ("--delta", "nan"),
+        ],
+    )
+    def test_obfuscate_rejects_before_reading(self, tmp_path, capsys, option, value):
+        code = main(
+            [
+                "obfuscate",
+                "--input", str(tmp_path / "missing.txt"),
+                "--output", str(tmp_path / "r.txt"),
+                "--k", "2",
+                "--eps", "0.1",
+                option, value,  # the last occurrence of an option wins
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("obfuscate: ") and option[2:] in err
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize(
+        "k,eps", [("3", "1.5"), ("3", "-0.1"), ("0", "0.15"), ("nan", "0.15")]
+    )
+    def test_verify_rejects_bad_numbers(
+        self, graph_file, release_file, capsys, k, eps
+    ):
+        code = main(
+            [
+                "verify",
+                "--original", str(graph_file),
+                "--release", str(release_file),
+                "--k", k,
+                "--eps", eps,
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("verify: ")
+
+
 class TestVerify:
     def test_valid_release(self, graph_file, release_file, capsys):
         code = main(
@@ -237,11 +295,15 @@ class TestParser:
         [
             ["stats", "--release", "r.txt", "--world-backend", "batched"],
             ["compare", "--input", "g.txt", "--p", "0.3", "--baseline-backend", "batched"],
+            [
+                "obfuscate", "--input", "g.txt", "--output", "r.txt",
+                "--k", "2", "--eps", "0.1", "--engine", "array",
+            ],
         ],
-        ids=["stats", "compare"],
+        ids=["stats", "compare", "obfuscate"],
     )
     def test_engine_selectors_removed(self, argv):
-        """One world engine: the old selector flags are usage errors."""
+        """One engine per job: the old selector flags are usage errors."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

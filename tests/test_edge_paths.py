@@ -108,14 +108,11 @@ class TestGraphBoundaries:
         assert hist.disconnected == 0.0
 
     def test_uniform_threshold_boundary(self):
-        from repro.core.perturbation import UNIFORM_THRESHOLD, sample_perturbations
+        from repro.core.perturbation import UNIFORM_THRESHOLD, truncated_normal_ppf
 
-        just_below = sample_perturbations(
-            np.full(2000, UNIFORM_THRESHOLD - 1e-6), seed=0
-        )
-        just_above = sample_perturbations(
-            np.full(2000, UNIFORM_THRESHOLD + 1e-6), seed=0
-        )
+        u = np.random.default_rng(0).random(2000)
+        just_below = truncated_normal_ppf(u, np.full(2000, UNIFORM_THRESHOLD - 1e-6))
+        just_above = truncated_normal_ppf(u, np.full(2000, UNIFORM_THRESHOLD + 1e-6))
         # both regimes are near-uniform at the threshold: means agree
         assert abs(just_below.mean() - just_above.mean()) < 0.05
 
