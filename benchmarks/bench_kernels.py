@@ -15,23 +15,13 @@ a maintainer would watch for performance regressions:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.anf.hyperanf import hyperanf
-from repro.core.degree_distribution import (
-    TREE_CROSSOVER_WIDTH,
-    poisson_binomial_pmf,
-)
+from repro.core.degree_distribution import poisson_binomial_pmf
 from repro.core.generate import generate_obfuscation
 from repro.core.obfuscation_check import compute_degree_posterior
-from repro.core.posterior_batch import (
-    degree_posterior_matrix,
-    poisson_binomial_pmf_batch,
-    poisson_binomial_pmf_tree,
-)
 from repro.core.types import ObfuscationParams
 from repro.graphs.datasets import dblp_like
 from repro.stats.distance import distance_histogram
@@ -54,68 +44,6 @@ def test_kernel_poisson_binomial_dp(benchmark):
     probs = rng.random(300)  # hub-sized support
     result = benchmark(poisson_binomial_pmf, probs)
     assert result.sum() == pytest.approx(1.0)
-
-
-def test_kernel_poisson_binomial_batch(benchmark):
-    rng = np.random.default_rng(0)
-    probs = rng.random((64, 300))  # a bucket of hub-sized supports
-    result = benchmark(poisson_binomial_pmf_batch, probs)
-    assert result.sum(axis=1) == pytest.approx(np.ones(64))
-
-
-def test_kernel_poisson_binomial_tree(benchmark):
-    rng = np.random.default_rng(0)
-    probs = rng.random((64, 300))  # same workload, tree-product kernel
-    result = benchmark(poisson_binomial_pmf_tree, probs)
-    assert result.sum(axis=1) == pytest.approx(np.ones(64))
-
-
-def _median_seconds(func, *args, rounds=5):
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        func(*args)
-        times.append(time.perf_counter() - start)
-    times.sort()
-    return times[len(times) // 2]
-
-
-def test_tree_kernel_floors():
-    """The two dispatch floors behind ``kernel="auto"``.
-
-    * at widths past the crossover the tree kernel must actually beat
-      the staircase (that is the whole point of dispatching);
-    * at small widths ``kernel="auto"`` must not be slower than calling
-      the staircase directly — below :data:`TREE_CROSSOVER_WIDTH` the
-      dispatch *is* the staircase plus a ``searchsorted``, so a margin
-      of 1.5 absorbs timer noise on a shared runner.
-    """
-    rng = np.random.default_rng(1)
-
-    wide = rng.random((32, 4 * TREE_CROSSOVER_WIDTH))
-    t_stair = _median_seconds(poisson_binomial_pmf_batch, wide)
-    t_tree = _median_seconds(poisson_binomial_pmf_tree, wide)
-    assert t_tree < t_stair, (
-        f"tree kernel ({t_tree:.4f}s) must beat the staircase "
-        f"({t_stair:.4f}s) at width {wide.shape[1]}"
-    )
-
-    counts = rng.integers(1, TREE_CROSSOVER_WIDTH // 2, size=512)
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    data = rng.random(int(counts.sum()))
-    t_direct = _median_seconds(
-        lambda: degree_posterior_matrix(
-            indptr, data, method="exact", kernel="staircase"
-        )
-    )
-    t_auto = _median_seconds(
-        lambda: degree_posterior_matrix(indptr, data, method="exact", kernel="auto")
-    )
-    assert t_auto < 1.5 * t_direct, (
-        f"kernel='auto' ({t_auto:.4f}s) may not be slower than the "
-        f"staircase ({t_direct:.4f}s) below the crossover"
-    )
 
 
 def test_kernel_posterior_matrix(benchmark, small_graph, small_uncertain):

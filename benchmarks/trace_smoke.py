@@ -42,7 +42,7 @@ from repro.obs.manifest import SCHEMA_ID, load_manifest
 #: Kernel-mix counters the manifest of an obfuscation run must carry.
 _REQUIRED_METRICS = (
     "posterior.rows.staircase",
-    "posterior.dispatch.auto_staircase",
+    "posterior.fold.rows",
     "generate.pairs_drawn",
     "search.probes",
 )

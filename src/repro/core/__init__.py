@@ -42,7 +42,6 @@ from repro.core.obfuscation_check import (
 from repro.core.posterior_batch import (
     degree_posterior_matrix,
     normal_approx_pmf_batch,
-    poisson_binomial_pmf_batch,
 )
 from repro.core.perturbation import (
     erfinv_array,
@@ -73,7 +72,6 @@ from repro.core.uniqueness import (
 __all__ = [
     "AUTO_EXACT_LIMIT",
     "poisson_binomial_pmf",
-    "poisson_binomial_pmf_batch",
     "normal_approx_pmf",
     "normal_approx_pmf_batch",
     "degree_pmf",

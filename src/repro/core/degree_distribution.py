@@ -29,17 +29,6 @@ import numpy as np
 #: the point where the CLT "becomes effective"; 64 is conservative.
 AUTO_EXACT_LIMIT = 64
 
-#: Support width above which exact rows dispatch from the Lemma-1
-#: staircase DP to the tree-product/FFT kernel
-#: (:func:`repro.core.posterior_batch.poisson_binomial_pmf_tree`) under
-#: ``kernel="auto"``.  Measured on the batched engine: the staircase's
-#: O(ℓ²) fold wins below ~96 addends (fewer dispatches, no pad waste),
-#: the O(ℓ log² ℓ) tree wins above at every batch size — and keeping
-#: the crossover strictly above :data:`AUTO_EXACT_LIMIT` means
-#: ``method="auto"`` rows never change kernel, preserving the engine's
-#: bit-for-bit pins against the scalar oracle.
-TREE_CROSSOVER_WIDTH = 96
-
 _SQRT2 = math.sqrt(2.0)
 
 #: Maximum absolute error of :func:`erf_rational` (Abramowitz–Stegun

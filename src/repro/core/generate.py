@@ -774,17 +774,14 @@ def _generate_pair_keyed_array(
     elif params.method == "exact":
         exact_limit = np.iinfo(np.int64).max
         x_width = width
-        # Full-exact mode has no CLT escape hatch, so hub rows can be
-        # arbitrarily wide; kernel="auto" sends rows past
-        # TREE_CROSSOVER_WIDTH to the O(s log² s) tree-product kernel.
         base = degree_posterior_matrix(
-            e_indptr, e_data, method="exact", width=x_width, kernel="auto"
+            e_indptr, e_data, method="exact", width=x_width
         )
     else:
         exact_limit = AUTO_EXACT_LIMIT
         x_width = min(width, AUTO_EXACT_LIMIT + 1)
         base = degree_posterior_matrix(
-            e_indptr, e_data, method="auto", width=x_width, kernel="auto"
+            e_indptr, e_data, method="auto", width=x_width
         )
     mu_edge, pq_edge = _segment_moments(e_data, e_indptr[:-1], e_indptr[1:])
 
@@ -873,7 +870,6 @@ def _generate_pair_keyed_array(
             e_data[slots][keep],
             method="exact",
             width=x_width,
-            kernel="auto",
         )
 
     # Fold every attempt's additions into its exact rows in one stacked
@@ -886,7 +882,6 @@ def _generate_pair_keyed_array(
         support=counts_stack - a_counts + 1,
         active=exact_stack,
         overwrite=True,
-        kernel="auto",
     )
 
     clt_rows = np.flatnonzero(~exact_stack)

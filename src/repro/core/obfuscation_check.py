@@ -227,7 +227,6 @@ def compute_degree_posterior(
     *,
     method: str = "auto",
     width: int | None = None,
-    kernel: str = "auto",
 ) -> DegreePosterior:
     """Build the ``X_v(ω)`` matrix of an uncertain graph.
 
@@ -243,11 +242,6 @@ def compute_degree_posterior(
         plus one, i.e. no truncation).  Passing the max original degree
         plus one keeps the matrix small when only Definition-2 checks are
         needed; truncated tail mass is discarded, never lumped.
-    kernel:
-        Exact-row convolution kernel forwarded to
-        :func:`repro.core.posterior_batch.degree_posterior_matrix`:
-        ``"staircase"``, ``"tree"``, or ``"auto"`` (dispatch on
-        :data:`repro.core.degree_distribution.TREE_CROSSOVER_WIDTH`).
 
     Returns
     -------
@@ -257,14 +251,16 @@ def compute_degree_posterior(
     -----
     Runs on the batched engine of :mod:`repro.core.posterior_batch` —
     one CSR export plus a handful of vectorised passes instead of ``n``
-    scalar :func:`repro.core.degree_pmf` calls.  That scalar loop is the
-    reference in ``tests/oracles/posterior.py``, which the equivalence
-    tests pin this function against.
+    scalar :func:`repro.core.degree_pmf` calls.  Exact rows run the
+    Lemma-1 DP at every width, so ``method="exact"`` costs
+    O(ℓ·width) per vertex of ℓ incident candidates; ``"auto"`` bounds
+    that by sending rows wider than :data:`repro.core.AUTO_EXACT_LIMIT`
+    to the CLT.  The scalar loop is the reference in
+    ``tests/oracles/posterior.py``, which the equivalence tests pin this
+    function against.
     """
     indptr, data = uncertain.incident_probability_csr()
-    matrix = degree_posterior_matrix(
-        indptr, data, method=method, width=width, kernel=kernel
-    )
+    matrix = degree_posterior_matrix(indptr, data, method=method, width=width)
     return DegreePosterior(matrix)
 
 
@@ -274,7 +270,6 @@ def tolerance_achieved(
     k: float,
     *,
     method: str = "auto",
-    kernel: str = "auto",
     posterior: DegreePosterior | None = None,
 ) -> float:
     """``ε' = |{v not k-obfuscated}| / n`` (Line 20 of Algorithm 2).
@@ -291,8 +286,6 @@ def tolerance_achieved(
         Required obfuscation level.
     method:
         Degree-PMF method forwarded to :func:`compute_degree_posterior`.
-    kernel:
-        Exact-row kernel forwarded to :func:`compute_degree_posterior`.
     posterior:
         Pre-computed posterior to reuse, if available.
     """
@@ -302,7 +295,7 @@ def tolerance_achieved(
             raise ValueError("need an uncertain graph or a precomputed posterior")
         width = max(int(original_degrees.max(initial=0)) + 1, 1)
         posterior = compute_degree_posterior(
-            uncertain, method=method, width=width, kernel=kernel
+            uncertain, method=method, width=width
         )
     mask = posterior.k_obfuscated(original_degrees, k)
     return float((~mask).sum()) / max(len(mask), 1)

@@ -24,7 +24,7 @@ Manifest layout (``SCHEMA_ID = "repro.obs/manifest.v1"``)::
       "elapsed_s":   12.3,
       "peak_rss_mb": 456.7,
       "spans":    [ {name, wall_s, cpu_s, rss_delta_mb, attrs, children:[...]} ],
-      "metrics":  {"posterior.rows.tree": 123, ...},
+      "metrics":  {"posterior.rows.staircase": 123, ...},
       "results":  {...}                           # run-specific summary
     }
 """

@@ -2,8 +2,7 @@
 
 The registry is the single accounting surface for the quantities the
 engines used to lose or hand-plumb through return values: posterior
-rows by kernel path (staircase vs tree/FFT vs fold vs CLT),
-``TREE_CROSSOVER_WIDTH`` dispatch decisions, candidate-pair redraw
+rows by kernel path (staircase vs fold vs CLT), candidate-pair redraw
 churn, worlds/releases chunk sizes and union-incidence reuse, HyperANF
 iterations-to-fixpoint, and the ``rows_folded``/``rows_recomputed``
 fold-coverage totals.  Since the serving layer (:mod:`repro.serve`)
@@ -31,7 +30,7 @@ Design constraints, in priority order:
 * **Zero dependencies** — stdlib only.
 
 Handles are memoised by name: modules grab them once at import time
-(``_ROWS_TREE = REGISTRY.counter("posterior.rows.tree")``) so the hot
+(``_ROWS_CLT = REGISTRY.counter("posterior.rows.clt")``) so the hot
 path pays no dict lookup.  :meth:`MetricsRegistry.reset` zeroes values
 in place, keeping every existing handle valid — tests bracket a seeded
 run with ``reset()`` + ``snapshot()`` to assert counter coherence.

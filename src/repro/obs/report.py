@@ -17,7 +17,6 @@ __all__ = ["load_trace", "resolve_run", "summarise_run"]
 #: metric name → kernel-mix row label (insertion order = display order).
 _KERNEL_MIX_ROWS = {
     "posterior.rows.staircase": "staircase rows",
-    "posterior.rows.tree": "tree/FFT rows",
     "posterior.rows.clt": "CLT rows",
     "posterior.fold.rows": "fold-in rows",
     "generate.rows_folded": "rows served by fold",
@@ -146,7 +145,7 @@ def summarise_run(
     metrics = manifest.get("metrics", {}) if manifest is not None else {}
     mix_rows = []
     mix_total = 0.0
-    for name in ("posterior.rows.staircase", "posterior.rows.tree", "posterior.rows.clt"):
+    for name in ("posterior.rows.staircase", "posterior.rows.clt"):
         value = _metric_value(metrics, name)
         if value:
             mix_total += value
@@ -163,13 +162,6 @@ def summarise_run(
     if mix_rows:
         sections.append(
             "kernel mix:\n" + _table(["path", "rows", "share"], mix_rows)
-        )
-    dispatch_tree = _metric_value(metrics, "posterior.dispatch.auto_tree")
-    dispatch_stair = _metric_value(metrics, "posterior.dispatch.auto_staircase")
-    if dispatch_tree is not None or dispatch_stair is not None:
-        sections.append(
-            "kernel='auto' dispatch (TREE_CROSSOVER_WIDTH): "
-            f"{dispatch_tree or 0:,} tree / {dispatch_stair or 0:,} staircase"
         )
     sliced = _metric_value(metrics, "worlds.triangles.sliced")
     alone = _metric_value(metrics, "worlds.triangles.alone")

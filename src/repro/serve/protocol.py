@@ -93,18 +93,23 @@ def parse_request(line: str | bytes) -> tuple[object, Query, int | None]:
     server sheds the query (instead of answering late) once that many
     milliseconds have passed since the request was read.
 
-    Raises ``ValueError`` on malformed JSON, unknown ops, or missing /
-    mistyped fields.  The caller still owns range-checking vertex ids
-    against the loaded release (the protocol layer does not know ``n``).
+    Raises ``ValueError`` on malformed JSON (nesting too deep to decode
+    included), unknown ops, or missing / mistyped fields.  The caller
+    still owns range-checking vertex ids against the loaded release (the
+    protocol layer does not know ``n``).
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON request: {exc}") from None
+    except RecursionError:
+        raise ValueError(
+            "malformed JSON request: nesting too deep to decode"
+        ) from None
     if not isinstance(obj, dict):
         raise ValueError("request must be a JSON object")
     op = obj.get("op")
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         raise ValueError(
             f"unknown op {op!r}; expected one of {sorted(OPS)}"
         )

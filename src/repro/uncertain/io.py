@@ -33,7 +33,9 @@ def read_uncertain_graph(
     concatenated release) and vertex ids at or above the header ``n``
     (a corrupted release, even when the caller supplies a larger ``n``)
     both raise ``ValueError`` instead of loading silently as a
-    different graph.  Headerless files (no ``n=``/``candidates=``)
+    different graph.  So does an unordered pair listed twice, which
+    the writer never emits and which would otherwise load as whichever
+    probability came last.  Headerless files (no ``n=``/``candidates=``)
     remain accepted for interoperability, with ``n`` inferred from the
     largest id.
     """
@@ -70,6 +72,15 @@ def read_uncertain_graph(
             f"{os.fspath(path)}: vertex id {max_id} out of range for "
             f"header n={header_n} (corrupted release)"
         )
+    seen: set[tuple[int, int]] = set()
+    for u, v, _ in triples:
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            raise ValueError(
+                f"{os.fspath(path)}: pair {pair} listed more than once "
+                "(corrupted release)"
+            )
+        seen.add(pair)
     if n is None:
         n = header_n if header_n is not None else max_id + 1
     return UncertainGraph.from_pairs(n, triples)

@@ -17,11 +17,9 @@ from repro.core.obfuscation_check import (
     column_mass_stack,
     entropies_from_column_mass,
 )
-from repro.core.posterior_batch import (
-    fold_in_staircase,
-    poisson_binomial_pmf_batch,
-)
+from repro.core.posterior_batch import fold_in_staircase
 from tests.oracles.fold import fold_in_bernoulli
+from tests.oracles.posterior import poisson_binomial_pmf_batch
 
 
 def _sequential_fold(rows: np.ndarray, indptr, data) -> np.ndarray:
@@ -131,15 +129,25 @@ class TestFoldInStaircase:
         np.testing.assert_allclose(out, oracle, atol=1e-15)
 
     def test_single_heavy_row(self, rng):
-        """One row with many entries exercises the deep-degree bucket."""
+        """Rows with many entries exercise the deep-degree bucket: one
+        heavy row among light ones into δ₀ rows, then rows of 97–300
+        entries into warm rows, untruncated and truncated."""
         rows = np.zeros((3, 70))
         rows[:, 0] = 1.0
-        counts = np.array([60, 0, 2])
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        data = rng.random(indptr[-1]) * 0.9
-        out = fold_in_staircase(rows, indptr, data)
-        oracle = _sequential_fold(rows, indptr, data)
-        assert np.abs(out - oracle).max() <= 1e-12
+        warm = rng.random((5, 320))
+        warm[:, 20:] = 0.0
+        warm /= warm.sum(axis=1, keepdims=True)
+        cases = [
+            (rows, np.array([60, 0, 2])),
+            (warm, np.array([97, 300, 0, 150, 3])),
+            (warm[:, :250].copy(), np.array([300, 97, 0, 150, 3])),
+        ]
+        for base, counts in cases:
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            data = rng.random(indptr[-1]) * 0.9
+            out = fold_in_staircase(base, indptr, data)
+            oracle = _sequential_fold(base, indptr, data)
+            assert np.abs(out - oracle).max() <= 1e-12
 
 
 def _stack_entropies(stack: np.ndarray, omegas: np.ndarray) -> np.ndarray:

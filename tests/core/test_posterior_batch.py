@@ -1,10 +1,11 @@
 """Equivalence tests: batched posterior engine vs the scalar ground truth.
 
 The batched kernels of :mod:`repro.core.posterior_batch` must reproduce
-the scalar §4 machinery — ``poisson_binomial_pmf`` bit-for-bit (the 2-D
-fold performs identical IEEE operations in identical order) and the full
-``compute_degree_posterior`` matrix to 1e-12 (fold order over a vertex's
-incident pairs may differ between the dict and CSR representations).
+the scalar §4 machinery — ``poisson_binomial_pmf`` bit-for-bit on every
+exact row, whatever its width (the staircase performs identical IEEE
+operations in identical order) and the full ``compute_degree_posterior``
+matrix to 1e-12 (fold order over a vertex's incident pairs may differ
+between the dict and CSR representations).
 """
 
 import numpy as np
@@ -23,12 +24,15 @@ from repro.core.obfuscation_check import (
 )
 from repro.core.posterior_batch import (
     degree_posterior_matrix,
+    fold_in_staircase,
     normal_approx_pmf_batch,
-    poisson_binomial_pmf_batch,
 )
 from repro.uncertain.graph import UncertainGraph
 from tests.oracles.fold import fold_in_bernoulli
-from tests.oracles.posterior import compute_degree_posterior_scalar
+from tests.oracles.posterior import (
+    compute_degree_posterior_scalar,
+    poisson_binomial_pmf_batch,
+)
 
 ATOL = 1e-12
 
@@ -222,6 +226,41 @@ class TestDegreePosteriorEquivalence:
         )
         assert eps == eps_scalar
 
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("width", [None, 40])
+    def test_exact_wide_rows_equal_scalar_dp(self, width, streamed, monkeypatch):
+        """Exact rows of 97, 300 and 1000 addends, sharing one call with
+        short and empty rows, are the scalar Lemma-1 DP bit for bit —
+        untruncated and truncated, on the dense pad and on the streamed
+        gather alike."""
+        import repro.core.posterior_batch as pb
+
+        rng = np.random.default_rng(23)
+        hubs = (97, 300, 1000)
+        n = len(hubs) + sum(hubs) + 5  # the last 5 vertices stay isolated
+        pairs = []
+        leaf = len(hubs)
+        for hub, ell in enumerate(hubs):
+            for _ in range(ell):
+                pairs.append((hub, leaf, float(rng.random())))
+                leaf += 1
+        for u in range(len(hubs), len(hubs) + 12, 3):  # rows of 2-3 addends
+            pairs.append((u, u + 1, float(rng.random())))
+            pairs.append((u, u + 2, float(rng.random())))
+        ug = UncertainGraph.from_pairs(n, pairs)
+        scalar = compute_degree_posterior_scalar(ug, method="exact", width=width)
+        # The CSR in the oracle's own per-vertex order, so both sides fold
+        # each row's addends in the same sequence.
+        rows = [ug.incident_probabilities(v) for v in range(n)]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        if streamed:
+            monkeypatch.setattr(pb, "_DENSE_ADDEND_BUDGET", 0)
+        batch = degree_posterior_matrix(
+            indptr, np.concatenate(rows), method="exact", width=width
+        )
+        assert np.array_equal(batch, scalar.matrix)
+
     def test_degree_posterior_matrix_rejects_bad_input(self):
         with pytest.raises(ValueError, match="method"):
             degree_posterior_matrix(
@@ -231,6 +270,39 @@ class TestDegreePosteriorEquivalence:
             degree_posterior_matrix(np.array([0, 1]), np.array([1.5]))
         with pytest.raises(ValueError, match="width"):
             degree_posterior_matrix(np.array([0, 1]), np.array([0.5]), width=0)
+
+
+class TestOneExactKernel:
+    """The Lemma-1 staircase is the only exact kernel: no posterior
+    entry point takes a ``kernel=`` option."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "degree_posterior_matrix",
+            "fold_in_staircase",
+            "compute_degree_posterior",
+            "tolerance_achieved",
+        ],
+    )
+    def test_kernel_keyword_rejected(self, call, fig1a, fig1b):
+        indptr, data = np.array([0, 1]), np.array([0.5])
+        calls = {
+            "degree_posterior_matrix": lambda: degree_posterior_matrix(
+                indptr, data, kernel="staircase"
+            ),
+            "fold_in_staircase": lambda: fold_in_staircase(
+                np.ones((1, 2)), indptr, data, kernel="staircase"
+            ),
+            "compute_degree_posterior": lambda: compute_degree_posterior(
+                fig1b, kernel="staircase"
+            ),
+            "tolerance_achieved": lambda: tolerance_achieved(
+                fig1b, fig1a.degrees(), k=2, kernel="staircase"
+            ),
+        }
+        with pytest.raises(TypeError, match="kernel"):
+            calls[call]()
 
 
 class TestArrayBackedGraph:

@@ -1,6 +1,7 @@
 """Tests for parameter/result dataclasses."""
 
 import dataclasses
+import importlib
 import math
 
 import pytest
@@ -107,8 +108,23 @@ class TestOutcomes:
         "sample_perturbation",
         "sample_perturbations_inverse",
         "redistribute_sigma",
+        "poisson_binomial_pmf_batch",
     ],
 )
 def test_reference_code_not_in_library(name):
     """Reference implementations live in ``tests/oracles``, or are gone."""
     assert not hasattr(repro.core, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.core.posterior_batch", "poisson_binomial_pmf_batch"),
+        ("repro.core.posterior_batch", "poisson_binomial_pmf_tree"),
+        ("repro.core.posterior_batch", "TREE_FFT_MIN_DEGREE"),
+        ("repro.core.degree_distribution", "TREE_CROSSOVER_WIDTH"),
+    ],
+)
+def test_second_exact_kernel_gone(module, name):
+    """The Lemma-1 staircase is the only exact posterior kernel."""
+    assert not hasattr(importlib.import_module(module), name)

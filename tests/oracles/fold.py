@@ -16,7 +16,7 @@ def fold_in_bernoulli(rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     ``X'(ω) = X(ω)·(1-p) + X(ω-1)·p`` on the retained width — exactly
     the arithmetic of one
-    :func:`repro.core.posterior_batch.poisson_binomial_pmf_batch` fold step,
+    :func:`tests.oracles.posterior.poisson_binomial_pmf_batch` fold step,
     so folding a probability into a finished DP row is bit-identical to
     having included it in the original fold (the DP is order-independent
     up to floating-point; per-column ops here match the batch fold's).

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     OPS,
@@ -12,6 +14,24 @@ from repro.serve.protocol import (
     encode_response,
     parse_request,
     wire_payload,
+)
+
+#: Arbitrary JSON values, nested lists and objects included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+
+#: Request-shaped objects: the protocol's own keys with arbitrary values,
+#: so the fuzz reaches field validation and not only the JSON decoder.
+REQUEST_OBJECTS = st.dictionaries(
+    st.sampled_from(
+        ["id", "op", "source", "target", "k", "hops", "max_hops",
+         "worlds", "seed", "timeout_ms"]
+    ),
+    st.sampled_from(sorted(OPS)) | JSON_VALUES,
 )
 
 
@@ -80,6 +100,33 @@ class TestParseRequest:
     def test_rejects(self, line):
         with pytest.raises(ValueError):
             parse_request(line)
+
+    def test_deep_nesting_is_malformed(self):
+        """Nesting past the decoder's recursion limit is a ValueError like
+        any other malformed line, not a RecursionError."""
+        for depth in (500, 1000, 100_000):
+            for line in ("[" * depth, b"[" * depth + b"\n"):
+                with pytest.raises(ValueError, match="malformed JSON request"):
+                    parse_request(line)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.text()
+        | st.binary()
+        | JSON_VALUES.map(json.dumps)
+        | REQUEST_OBJECTS.map(json.dumps)
+        | st.integers(1, 5000).map(lambda depth: "[" * depth + "]" * depth)
+    )
+    def test_any_line_parses_or_raises_value_error(self, line):
+        try:
+            parse_request(line)
+        except ValueError:
+            pass
+
+    def test_unhashable_op_rejected(self):
+        for op in ("[]", "{}"):
+            with pytest.raises(ValueError, match="unknown op"):
+                parse_request(f'{{"op": {op}, "source": 1}}')
 
 
 class TestResponses:

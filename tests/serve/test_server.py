@@ -93,14 +93,18 @@ class TestSingleClient:
             (server.host, server.port), timeout=10
         ) as sock:
             fh = sock.makefile("rb")
-            sock.sendall(b"this is not json\n")
-            response = json.loads(fh.readline())
-            assert response["ok"] is False
-            sock.sendall(
-                b'{"id": 1, "op": "degree", "source": 0}\n'
-            )
-            response = json.loads(fh.readline())
-            assert response["ok"] is True and response["id"] == 1
+            for rid, bad in enumerate(
+                [b"this is not json\n", b"[" * 2000 + b"\n"], start=1
+            ):
+                sock.sendall(bad)
+                response = json.loads(fh.readline())
+                assert response["ok"] is False
+                assert "malformed JSON request" in response["error"]
+                sock.sendall(
+                    b'{"id": %d, "op": "degree", "source": 0}\n' % rid
+                )
+                response = json.loads(fh.readline())
+                assert response["ok"] is True and response["id"] == rid
 
 
 class TestConcurrentClients:

@@ -1,9 +1,40 @@
 """Tests for uncertain-graph IO."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.uncertain.graph import UncertainGraph
 from repro.uncertain.io import read_uncertain_graph, write_uncertain_graph
+
+
+@st.composite
+def array_graphs(draw):
+    """``from_arrays`` graphs with p ∈ (0, 1] and either pair orientation."""
+    n = draw(st.integers(2, 12))
+    pairs = sorted(
+        draw(
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] != e[1])
+                .map(lambda e: (min(e), max(e))),
+                max_size=20,
+            )
+        )
+    )
+    size = len(pairs)
+    ps = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True), min_size=size, max_size=size
+        )
+    )
+    flips = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    us = [v if flip else u for (u, v), flip in zip(pairs, flips)]
+    vs = [u if flip else v for (u, v), flip in zip(pairs, flips)]
+    return UncertainGraph.from_arrays(n, us, vs, ps)
 
 
 class TestRoundTrip:
@@ -20,6 +51,17 @@ class TestRoundTrip:
         path = tmp_path / "ug.txt"
         write_uncertain_graph(ug, path)
         assert read_uncertain_graph(path).probability(0, 1) == 0.123456789012345
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    @given(array_graphs())
+    def test_round_trip_is_exact(self, ug):
+        """``read(write(g))`` gives back the same pairs and the same floats."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ug.txt"
+            write_uncertain_graph(ug, path)
+            back = read_uncertain_graph(path)
+        assert back.num_vertices == ug.num_vertices
+        assert sorted(back.candidate_pairs()) == sorted(ug.candidate_pairs())
 
     def test_isolated_vertices_survive(self, tmp_path):
         ug = UncertainGraph(9)
@@ -68,6 +110,14 @@ class TestHeaderValidation:
         path, lines = self._release_lines(tmp_path, fig1b)
         path.write_text("".join(lines) + "0 1 0.125\n")
         with pytest.raises(ValueError, match="truncated or corrupted"):
+            read_uncertain_graph(path)
+
+    def test_repeated_pair_rejected(self, tmp_path):
+        """A pair listed twice, in either orientation, is a corrupted
+        release even when the header's line count agrees."""
+        path = tmp_path / "dup.txt"
+        path.write_text("# n=3 candidates=2\n0 1 0.5\n1 0 0.7\n")
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) listed more than once"):
             read_uncertain_graph(path)
 
     def test_id_beyond_header_n_rejected(self, tmp_path):
