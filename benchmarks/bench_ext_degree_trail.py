@@ -28,6 +28,7 @@ from repro.attacks.degree_trail import (
 )
 from repro.core.search import obfuscate_with_fallback
 from repro.experiments.report import render_table
+from repro.graphs.graph import Graph
 from repro.uncertain.sampling import sample_world
 
 SNAPSHOTS = 3
@@ -35,17 +36,17 @@ SNAPSHOTS = 3
 
 def _evolve(graph, steps: int, rng) -> list:
     out = []
-    g = graph
+    n = graph.num_vertices
+    edges = set(graph.edges())
     for _ in range(steps):
-        g = g.copy()
         added = 0
-        n = g.num_vertices
-        while added < max(1, int(0.04 * g.num_edges)):
+        while added < max(1, int(0.04 * len(edges))):
             u, v = int(rng.integers(n)), int(rng.integers(n))
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v)
+            edge = (min(u, v), max(u, v))
+            if u != v and edge not in edges:
+                edges.add(edge)
                 added += 1
-        out.append(g)
+        out.append(Graph.from_edges(n, edges))
     return out
 
 

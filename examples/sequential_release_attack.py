@@ -24,7 +24,7 @@ from repro.attacks import (
     reidentification_rate,
     trail_uniqueness_rate,
 )
-from repro.graphs import dblp_like
+from repro.graphs import Graph, dblp_like
 from repro.uncertain import sample_world
 
 SNAPSHOTS = 3
@@ -35,17 +35,18 @@ def main() -> None:
     # An evolving network: the dblp surrogate gains edges between snapshots.
     rng = np.random.default_rng(0)
     base = dblp_like(scale=0.12, seed=0)
+    n = base.num_vertices
+    edges = set(base.edges())
     snapshots = []
-    g = base
     for _ in range(SNAPSHOTS):
-        g = g.copy()
         added = 0
-        while added < int(0.05 * g.num_edges):
-            u, v = int(rng.integers(len(g))), int(rng.integers(len(g)))
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v)
+        while added < int(0.05 * len(edges)):
+            u, v = int(rng.integers(n)), int(rng.integers(n))
+            edge = (min(u, v), max(u, v))
+            if u != v and edge not in edges:
+                edges.add(edge)
                 added += 1
-        snapshots.append(g)
+        snapshots.append(Graph.from_edges(n, edges))
 
     original_trails = degree_trails(snapshots)
     print(f"{len(snapshots)} snapshots of {snapshots[0].num_vertices} vertices")

@@ -100,7 +100,7 @@ def hyperanf(
         max_steps = n
     regs = init_registers(n, b=b, seed=seed)
     m = regs.shape[1]
-    indptr, indices = graph.to_csr()
+    indptr, indices = graph.indptr, graph.indices
     degs = np.diff(indptr)
 
     row_est = estimate_many(regs)

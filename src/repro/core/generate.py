@@ -455,7 +455,9 @@ class SearchContext:
     One Algorithm-1 run calls Algorithm 2 at a dozen or more σ values;
     everything that does not depend on σ — degrees, the degree
     histogram behind uniqueness, the edge codes, the edge-incidence
-    structure and the checker width — is computed once here.  Per-σ
+    structure and the checker width — is computed once here (sound
+    because :class:`Graph` is immutable, so the identity check in
+    :meth:`check` is enough).  Per-σ
     setup (uniqueness, ``H``, Q-weights, the Q sampler's tables and
     the feasibility count) is memoised by σ, so repeated probes at the
     same σ (the doubling ladder replayed by ``obfuscate_with_fallback``

@@ -4,8 +4,9 @@ The process backend of :class:`repro.exec.executor.ChunkExecutor` ships
 each chunk's *own* data (packed keep bits, RNG substream seeds) through
 the normal pickle channel — those are small.  What must **not** travel
 per task are the large read-only constants every chunk shares: the
-candidate-pair endpoint arrays, the sorted union incidence, the graph
-edge array.  :class:`SharedArrayPack` copies those once into
+candidate-pair endpoint arrays, the sorted union incidence, the graph's
+CSR arrays (which a worker wraps as a :class:`repro.graphs.graph.Graph`
+without copying).  :class:`SharedArrayPack` copies those once into
 ``multiprocessing.shared_memory`` segments; workers attach by name and
 get zero-copy NumPy views.
 

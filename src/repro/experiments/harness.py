@@ -51,14 +51,16 @@ class SweepEntry:
 _GRAPH_MEMO: tuple | None = None
 
 
-def _shared_graph(shared: dict, dataset: str, n: int) -> Graph:
-    """Rebuild (once per pack per dataset) a graph from shared edges."""
+def _shared_graph(shared: dict, dataset: str) -> Graph:
+    """Wrap (once per pack per dataset) the shared CSR arrays, uncopied."""
     global _GRAPH_MEMO
     if _GRAPH_MEMO is None or _GRAPH_MEMO[0] is not shared:
         _GRAPH_MEMO = (shared, {})
     graphs = _GRAPH_MEMO[1]
     if dataset not in graphs:
-        graphs[dataset] = Graph.from_edge_array(n, shared[f"edges:{dataset}"])
+        graphs[dataset] = Graph._from_csr(
+            shared[f"indptr:{dataset}"], shared[f"indices:{dataset}"]
+        )
     return graphs[dataset]
 
 
@@ -70,8 +72,8 @@ def _sweep_cell_task(arg, shared) -> ObfuscationResult:
     building it from the pickled sequence gets the byte-identical stream
     the serial loop would hand :func:`obfuscate_with_fallback`.
     """
-    (dataset, k, paper_eps, eps_used, n, c_chain, q, attempts, delta, child) = arg
-    graph = _shared_graph(shared, dataset, n)
+    (dataset, k, paper_eps, eps_used, c_chain, q, attempts, delta, child) = arg
+    graph = _shared_graph(shared, dataset)
     with span("sweep_cell", dataset=dataset, k=k, eps=paper_eps) as sp:
         result = obfuscate_with_fallback(
             graph,
@@ -206,7 +208,6 @@ def run_obfuscation_sweep(
                 k,
                 paper_eps,
                 eps_used,
-                graphs[dataset].num_vertices,
                 config.c_chain,
                 config.q,
                 config.attempts,
@@ -242,11 +243,11 @@ def run_obfuscation_sweep(
     if executor is not None and getattr(executor, "backend", "serial") == "process":
         # The config (it caches Graph objects) never crosses the pickle
         # channel: cells travel as primitives + their seed child, and
-        # each dataset's edge list travels once via shared memory.
-        shared = {
-            f"edges:{dataset}": graph.edge_array()
-            for dataset, graph in graphs.items()
-        }
+        # each dataset's CSR arrays travel once via shared memory.
+        shared = {}
+        for dataset, graph in graphs.items():
+            shared[f"indptr:{dataset}"] = graph.indptr
+            shared[f"indices:{dataset}"] = graph.indices
         results = executor.map(
             _sweep_cell_task, pending_tasks, shared=shared, on_result=_record
         )

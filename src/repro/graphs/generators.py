@@ -5,7 +5,9 @@ that are not redistributable; :mod:`repro.graphs.datasets` builds
 laptop-scale surrogates on top of the generators here.  All generators
 are implemented from first principles (no networkx) and take explicit
 seeds, so every experiment in the benchmark harness is reproducible
-bit-for-bit.
+bit-for-bit.  :class:`~repro.graphs.graph.Graph` is immutable, so each
+generator grows its graph on a local edge list or adjacency sets and
+freezes it once at the end.
 
 Provided models:
 
@@ -39,16 +41,13 @@ def erdos_renyi(n: int, p: float, *, seed=None) -> Graph:
     """
     check_probability(p, "p")
     rng = as_rng(seed)
-    g = Graph(n)
     if p == 0.0 or n < 2:
-        return g
+        return Graph(n)
     if p == 1.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                g.add_edge(u, v)
-        return g
+        return Graph.from_edge_array(n, np.column_stack(np.triu_indices(n, 1)))
     total_pairs = n * (n - 1) // 2
     log_q = np.log1p(-p)
+    edges: list[tuple[int, int]] = []
     idx = -1
     while True:
         # skip ~Geometric(p) pairs
@@ -60,8 +59,8 @@ def erdos_renyi(n: int, p: float, *, seed=None) -> Graph:
         u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2)
         offset = idx - (u * (2 * n - u - 1)) // 2
         v = u + 1 + int(offset)
-        g.add_edge(u, v)
-    return g
+        edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def _preferential_targets(
@@ -83,16 +82,16 @@ def barabasi_albert(n: int, m: int, *, seed=None) -> Graph:
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     rng = as_rng(seed)
-    g = Graph(n)
+    edges: list[tuple[int, int]] = []
     repeated: list[int] = []
     for v in range(1, m + 1):
-        g.add_edge(0, v)
+        edges.append((0, v))
         repeated.extend((0, v))
     for v in range(m + 1, n):
         for t in _preferential_targets(repeated, m, rng):
-            g.add_edge(v, t)
+            edges.append((v, t))
             repeated.extend((v, t))
-    return g
+    return Graph.from_edges(n, edges)
 
 
 def powerlaw_cluster(n: int, m: int, triad_p: float, *, seed=None) -> Graph:
@@ -108,33 +107,36 @@ def powerlaw_cluster(n: int, m: int, triad_p: float, *, seed=None) -> Graph:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     check_probability(triad_p, "triad_p")
     rng = as_rng(seed)
-    g = Graph(n)
+    adj: list[set[int]] = [set() for _ in range(n)]
     repeated: list[int] = []
     for v in range(1, m + 1):
-        g.add_edge(0, v)
+        _link(adj, 0, v)
         repeated.extend((0, v))
     for v in range(m + 1, n):
         # first link is always preferential
         target = repeated[int(rng.integers(len(repeated)))]
-        g.add_edge(v, target)
+        _link(adj, v, target)
         repeated.extend((v, target))
         done = 1
         while done < m:
             close_triangle = rng.random() < triad_p
             candidate = -1
             if close_triangle:
-                nbrs = [w for w in g.neighbors(target) if w != v and not g.has_edge(v, w)]
+                # The triad step draws by position, so the iteration order
+                # is part of the seeded output: it walks a frozenset copy of
+                # the neighbour set, whose order can differ from the set's.
+                nbrs = [w for w in frozenset(adj[target]) if w != v and w not in adj[v]]
                 if nbrs:
                     candidate = nbrs[int(rng.integers(len(nbrs)))]
             if candidate < 0:
                 candidate = repeated[int(rng.integers(len(repeated)))]
-                if candidate == v or g.has_edge(v, candidate):
+                if candidate == v or candidate in adj[v]:
                     continue
-            g.add_edge(v, candidate)
+            _link(adj, v, candidate)
             repeated.extend((v, candidate))
             target = candidate
             done += 1
-    return g
+    return _freeze(adj)
 
 
 def watts_strogatz(n: int, k: int, rewire_p: float, *, seed=None) -> Graph:
@@ -150,25 +152,39 @@ def watts_strogatz(n: int, k: int, rewire_p: float, *, seed=None) -> Graph:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     check_probability(rewire_p, "rewire_p")
     rng = as_rng(seed)
-    g = Graph(n)
+    adj: list[set[int]] = [set() for _ in range(n)]
     for v in range(n):
         for offset in range(1, k // 2 + 1):
             u = (v + offset) % n
-            if not g.has_edge(v, u):
-                g.add_edge(v, u)
+            if u not in adj[v]:
+                _link(adj, v, u)
     for v in range(n):
         for offset in range(1, k // 2 + 1):
             u = (v + offset) % n
-            if rng.random() >= rewire_p or not g.has_edge(v, u):
+            if rng.random() >= rewire_p or u not in adj[v]:
                 continue
             # draw replacement avoiding self loops and duplicates
             for _ in range(16):
                 w = int(rng.integers(n))
-                if w != v and not g.has_edge(v, w):
-                    g.remove_edge(v, u)
-                    g.add_edge(v, w)
+                if w != v and w not in adj[v]:
+                    adj[v].discard(u)
+                    adj[u].discard(v)
+                    _link(adj, v, w)
                     break
-    return g
+    return _freeze(adj)
+
+
+def _link(adj: list[set[int]], u: int, v: int) -> None:
+    """Add the undirected edge (u, v) to a generator's adjacency sets."""
+    adj[u].add(v)
+    adj[v].add(u)
+
+
+def _freeze(adj: list[set[int]]) -> Graph:
+    """The immutable :class:`Graph` of a generator's adjacency sets."""
+    return Graph.from_edges(
+        len(adj), ((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+    )
 
 
 def powerlaw_degree_sequence(
@@ -281,7 +297,7 @@ def affiliation_graph(
     if probs.size == 0 or np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
         raise ValueError("group_size_probs must be a probability vector")
     rng = as_rng(seed)
-    g = Graph(n)
+    edges: list[tuple[int, int]] = []
     repeated: list[int] = list(range(min(n, 50)))
     sizes = rng.choice(np.arange(2, 2 + probs.size), size=n_groups, p=probs)
     for s in sizes:
@@ -295,8 +311,6 @@ def affiliation_graph(
                 members.add(repeated[int(rng.integers(len(repeated)))])
         group = sorted(members)
         for i, u in enumerate(group):
-            for v in group[i + 1 :]:
-                if not g.has_edge(u, v):
-                    g.add_edge(u, v)
+            edges.extend((u, v) for v in group[i + 1 :])
         repeated.extend(group)
-    return g
+    return Graph.from_edges(n, edges)

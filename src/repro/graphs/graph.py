@@ -3,11 +3,13 @@
 This is the certain-graph substrate the whole library builds on.  Design
 choices:
 
-* **Adjacency sets** for O(1) edge queries and cheap mutation — the
-  obfuscation algorithm (Alg. 2 of the paper) toggles candidate pairs in
-  a tight loop.
-* **CSR export** (:meth:`Graph.to_csr`) for the vectorised BFS and
-  HyperANF kernels, which need flat ``indptr``/``indices`` arrays.
+* **Immutable CSR storage.**  A graph is two read-only ``int64`` arrays,
+  ``indptr`` and ``indices``, with each vertex's neighbours sorted.  The
+  paper's algorithms only read the original graph, so every export
+  (degrees, edge array, sorted edge codes) is one array pass over the
+  rows, and the vectorised BFS, triangle and HyperANF kernels consume the
+  arrays directly.  Code that grows a graph edge by edge (the random
+  generators) builds its own adjacency and freezes it once.
 * Vertices are dense integers; name mapping (if any) is the caller's
   concern.  Self-loops and parallel edges are rejected, matching the
   paper's model of simple social graphs.
@@ -23,60 +25,55 @@ from repro.utils.validation import check_vertex
 
 
 class Graph:
-    """An undirected simple graph on vertices ``{0, ..., n-1}``.
+    """An immutable undirected simple graph on vertices ``{0, ..., n-1}``.
 
     Parameters
     ----------
     n:
-        Number of vertices.  The vertex set is fixed at construction;
-        edges may be added/removed freely.
+        Number of vertices.  ``Graph(n)`` is the empty graph; graphs
+        with edges come from :meth:`from_edge_array` or
+        :meth:`from_edges`.
 
     Examples
     --------
-    >>> g = Graph(4)
-    >>> g.add_edge(0, 1)
-    >>> g.add_edge(1, 2)
+    >>> g = Graph.from_edges(4, [(0, 1), (2, 1)])
     >>> g.num_edges
     2
     >>> sorted(g.neighbors(1))
     [0, 2]
+    >>> g.indptr.tolist(), g.indices.tolist()
+    ([0, 1, 3, 4, 4], [1, 0, 2, 1])
     """
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_indptr", "_indices")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"number of vertices must be non-negative, got {n}")
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._num_edges: int = 0
+        self._indptr, self._indices = read_only(
+            np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        )
 
     # ------------------------------------------------------------------
-    # construction helpers
+    # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an iterable of (u, v) pairs.
 
         Duplicate pairs and (u, v)/(v, u) mirrors are collapsed; self
-        loops raise.
+        loops raise.  See :meth:`from_edge_array`.
         """
-        g = cls(n)
-        for u, v in edges:
-            if not g.has_edge(u, v):
-                g.add_edge(u, v)
-        return g
+        pairs = np.array([(u, v) for u, v in edges], dtype=np.int64)
+        return cls.from_edge_array(n, pairs.reshape(-1, 2))
 
     @classmethod
     def from_edge_array(cls, n: int, edges: np.ndarray) -> "Graph":
-        """Bulk-build a graph from an ``(m, 2)`` integer edge array.
+        """Build a graph from an ``(m, 2)`` integer edge array.
 
-        The vectorised counterpart of :meth:`from_edges`: validation,
-        ``(u, v)``/``(v, u)`` normalisation and duplicate collapsing are
-        single array passes, and the adjacency sets are constructed one
-        whole neighbour block at a time instead of via ``2m`` Python-level
-        ``add_edge`` calls.  This is the materialisation fast path of the
-        possible-world engine (:mod:`repro.worlds`), where every sampled
-        world becomes a graph.
+        Validation, ``(u, v)``/``(v, u)`` normalisation, duplicate
+        collapsing and the CSR build are single array passes.  This is
+        the one validating constructor.
 
         Parameters
         ----------
@@ -84,8 +81,7 @@ class Graph:
             Number of vertices.
         edges:
             Integer array of shape ``(m, 2)`` (any endpoint order;
-            duplicates and mirrors are collapsed, as in
-            :meth:`from_edges`).  Self loops raise.
+            duplicates and mirrors are collapsed).  Self loops raise.
         """
         edges = np.ascontiguousarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -94,41 +90,55 @@ class Graph:
             return cls(n)
         if edges.min() < 0 or edges.max() >= n:
             raise ValueError(f"vertex ids must lie in [0, {n})")
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        if (lo == hi).any():
+        us, vs = edges[:, 0], edges[:, 1]
+        if (us == vs).any():
             raise ValueError("self loops are not allowed")
-        codes = np.unique(lo * np.int64(n) + hi)  # dedupe + sort
-        lo, hi = codes // n, codes % n
-        heads = np.concatenate([lo, hi])
-        tails = np.concatenate([hi, lo])
-        order = np.argsort(heads, kind="stable")
-        counts = np.bincount(heads, minlength=n)
-        blocks = np.split(tails[order], np.cumsum(counts)[:-1])
-        g = cls(n)
-        g._adj = [set(block.tolist()) for block in blocks]
-        g._num_edges = len(codes)
-        return g
+        # Both orientations of every edge as codes ``row·n + neighbour``;
+        # sorted and deduplicated, they are the CSR rows in order.
+        # (Sort-and-mask: np.unique is far slower on large int64 arrays.)
+        n64 = np.int64(n)
+        directed = np.sort(np.concatenate([us * n64 + vs, vs * n64 + us]))
+        directed = directed[np.append(True, directed[1:] != directed[:-1])]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(directed // n64, minlength=n), out=indptr[1:])
+        return cls._from_csr(indptr, directed % n64)
 
-    def copy(self) -> "Graph":
-        """Return a deep copy (independent adjacency sets)."""
-        g = Graph(self.num_vertices)
-        g._adj = [set(nbrs) for nbrs in self._adj]
-        g._num_edges = self._num_edges
+    @classmethod
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """Zero-validation constructor over arrays the caller vouches for.
+
+        ``indptr``/``indices`` must already be a symmetric ``int64`` CSR
+        with sorted, loop-free, duplicate-free rows (e.g. another
+        graph's arrays shared with a worker process).  They are frozen
+        in place, not copied.
+        """
+        g = cls.__new__(cls)
+        g._indptr, g._indices = read_only(indptr, indices)
         return g
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
     @property
+    def indptr(self) -> np.ndarray:
+        """Read-only CSR row pointer, length ``n + 1``."""
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Read-only CSR neighbour array: row ``v`` is
+        ``indices[indptr[v]:indptr[v+1]]``, sorted ascending."""
+        return self._indices
+
+    @property
     def num_vertices(self) -> int:
         """Number of vertices ``n``."""
-        return len(self._adj)
+        return len(self._indptr) - 1
 
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges ``m``."""
-        return self._num_edges
+        return len(self._indices) // 2
 
     @property
     def num_pairs(self) -> int:
@@ -136,109 +146,55 @@ class Graph:
         n = self.num_vertices
         return n * (n - 1) // 2
 
+    def _row(self, v: int) -> np.ndarray:
+        return self._indices[self._indptr[v] : self._indptr[v + 1]]
+
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
-        return len(self._adj[check_vertex(v, self.num_vertices)])
+        v = check_vertex(v, self.num_vertices)
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def degrees(self) -> np.ndarray:
         """Degree sequence as an ``int64`` array indexed by vertex."""
-        return np.array([len(nbrs) for nbrs in self._adj], dtype=np.int64)
+        return np.diff(self._indptr)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        """Neighbour set of ``v`` (read-only view as a frozenset)."""
-        return frozenset(self._adj[check_vertex(v, self.num_vertices)])
+        """Neighbour set of ``v`` as a frozenset."""
+        return frozenset(self._row(check_vertex(v, self.num_vertices)).tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff the undirected edge (u, v) exists."""
         u = check_vertex(u, self.num_vertices, "u")
         v = check_vertex(v, self.num_vertices, "v")
-        return v in self._adj[u]
+        row = self._row(u)
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and int(row[i]) == v
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints ``(us, vs)`` of every edge with ``u < v``, in code order."""
+        rows = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees())
+        upper = self._indices > rows
+        return rows[upper], self._indices[upper]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate edges as ordered pairs ``(u, v)`` with ``u < v``."""
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        """Iterate edges as ordered pairs ``(u, v)`` with ``u < v``, sorted."""
+        us, vs = self._upper()
+        return zip(us.tolist(), vs.tolist())
 
     def edge_array(self) -> np.ndarray:
-        """All edges as an ``(m, 2)`` int64 array with ``u < v`` rows."""
-        if self._num_edges == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges()), dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add_edge(self, u: int, v: int) -> None:
-        """Insert the undirected edge (u, v).
-
-        Raises
-        ------
-        ValueError
-            On self loops or if the edge already exists (callers that
-            may re-add should test :meth:`has_edge` first; failing loudly
-            catches double-insertion bugs in the perturbation loops).
-        """
-        u = check_vertex(u, self.num_vertices, "u")
-        v = check_vertex(v, self.num_vertices, "v")
-        if u == v:
-            raise ValueError(f"self loops are not allowed (vertex {u})")
-        if v in self._adj[u]:
-            raise ValueError(f"edge ({u}, {v}) already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._num_edges += 1
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Delete the undirected edge (u, v); raises if absent."""
-        u = check_vertex(u, self.num_vertices, "u")
-        v = check_vertex(v, self.num_vertices, "v")
-        if v not in self._adj[u]:
-            raise ValueError(f"edge ({u}, {v}) not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._num_edges -= 1
-
-    # ------------------------------------------------------------------
-    # exports
-    # ------------------------------------------------------------------
-    def to_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Export adjacency in CSR form.
-
-        Returns
-        -------
-        (indptr, indices):
-            ``indices[indptr[v]:indptr[v+1]]`` are the (sorted)
-            neighbours of ``v``.  Both arrays are ``int64``.
-        """
-        n = self.num_vertices
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(nbrs) for nbrs in self._adj])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for v, nbrs in enumerate(self._adj):
-            block = sorted(nbrs)
-            indices[indptr[v] : indptr[v + 1]] = block
-        return indptr, indices
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        """Edges as a set of ordered ``(u, v)`` tuples with ``u < v``."""
-        return set(self.edges())
+        """All edges as a sorted ``(m, 2)`` int64 array with ``u < v`` rows."""
+        return np.column_stack(self._upper())
 
     def edge_codes(self) -> np.ndarray:
         """Edges as sorted scalar codes ``u·n + v`` (``u < v``).
 
         The flat form lets callers answer "which of these pairs are true
-        edges?" for a whole pair array at once via ``np.isin`` — the
-        vectorised counterpart of an :meth:`has_edge` loop (used by the
-        Algorithm-2 probability-assignment step).
+        edges?" for a whole pair array at once via ``np.isin`` or
+        ``np.searchsorted`` (used by the Algorithm-2 probability
+        assignment step).
         """
-        if self._num_edges == 0:
-            return np.empty(0, dtype=np.int64)
-        edges = self.edge_array()
-        codes = edges[:, 0] * np.int64(self.num_vertices) + edges[:, 1]
-        codes.sort()
-        return codes
+        us, vs = self._upper()
+        return us * np.int64(self.num_vertices) + vs
 
     # ------------------------------------------------------------------
     # dunder sugar
@@ -253,10 +209,19 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.num_vertices == other.num_vertices and self._adj == other._adj
+        return np.array_equal(self._indptr, other._indptr) and np.array_equal(
+            self._indices, other._indices
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
+
+
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Clear the arrays' write flags in place and return them."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def pair_index(u: int, v: int, n: int) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from repro.graphs.graph import Graph
 
 
@@ -18,7 +20,7 @@ def write_edge_list(graph: Graph, path: str | os.PathLike) -> None:
     """Write ``graph`` to ``path`` in edge-list format with an ``# n=`` header."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={graph.num_vertices} m={graph.num_edges}\n")
-        for u, v in sorted(graph.edges()):
+        for u, v in graph.edges():
             fh.write(f"{u} {v}\n")
 
 
@@ -33,9 +35,8 @@ def read_edge_list(path: str | os.PathLike, *, n: int | None = None) -> Graph:
         Vertex count override.  If omitted, an ``# n=...`` header is used
         when present, otherwise ``max vertex id + 1``.
     """
-    edges: list[tuple[int, int]] = []
+    ids: list[int] = []
     header_n: int | None = None
-    max_id = -1
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -49,9 +50,23 @@ def read_edge_list(path: str | os.PathLike, *, n: int | None = None) -> Graph:
             parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"malformed edge line: {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
+            ids += (int(parts[0]), int(parts[1]))
+    edges = int64_ids(ids, path).reshape(-1, 2)
     if n is None:
-        n = header_n if header_n is not None else max_id + 1
-    return Graph.from_edges(n, edges)
+        n = header_n if header_n is not None else int(edges.max(initial=-1)) + 1
+    return Graph.from_edge_array(n, edges)
+
+
+def int64_ids(ids: list[int], path: str | os.PathLike) -> np.ndarray:
+    """Vertex ids parsed from ``path`` as an ``int64`` array.
+
+    An id that does not fit ``int64`` marks a corrupted file, so it
+    raises ``ValueError`` here, before anything sized by it is
+    allocated.
+    """
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(
+            f"{os.fspath(path)}: vertex id does not fit int64 (corrupted file)"
+        ) from None

@@ -1,13 +1,9 @@
 """Breadth-first traversal kernels: distances, components, eccentricities.
 
-Two implementations are provided:
-
-* :func:`bfs_distances` — a vectorised frontier BFS over the CSR export;
-  the per-level neighbour gather is a single ``np.take``/boolean-mask
-  pass, which keeps the Python interpreter out of the inner loop.  This is
-  the workhorse of the exact distance statistics.
-* plain set/queue BFS is used implicitly by small helpers where clarity
-  beats throughput.
+Every kernel here runs :func:`bfs_distances`, a vectorised frontier BFS
+over the graph's CSR arrays: the per-level neighbour gather is a single
+``np.take``/boolean-mask pass, which keeps the Python interpreter out of
+the inner loop.  It is the workhorse of the exact distance statistics.
 
 All distances are hop counts on the undirected graph; unreachable
 vertices get ``-1``.
@@ -54,37 +50,23 @@ def _gather_neighbors(
     return indices[multi_range(starts, counts)]
 
 
-def bfs_distances(
-    graph: Graph | tuple[np.ndarray, np.ndarray],
-    source: int,
-    *,
-    n: int | None = None,
-) -> np.ndarray:
+def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source`` to every vertex.
 
     Parameters
     ----------
     graph:
-        Either a :class:`Graph` or a pre-computed ``(indptr, indices)``
-        CSR pair (pass ``n`` in that case).  Accepting CSR directly lets
-        all-sources sweeps amortise the export.
+        Graph to traverse; its CSR arrays are read in place.
     source:
         Source vertex.
-    n:
-        Vertex count when ``graph`` is a CSR pair.
 
     Returns
     -------
     numpy.ndarray
         ``int64`` array of distances; ``-1`` marks unreachable vertices.
     """
-    if isinstance(graph, Graph):
-        indptr, indices = graph.to_csr()
-        n = graph.num_vertices
-    else:
-        indptr, indices = graph
-        if n is None:
-            n = len(indptr) - 1
+    indptr, indices = graph.indptr, graph.indices
+    n = graph.num_vertices
     source = check_vertex(source, n, "source")
 
     dist = np.full(n, -1, dtype=np.int64)
@@ -115,13 +97,12 @@ def all_pairs_distances(
     :mod:`repro.stats.distance` support sampled-source estimation exactly
     like the BFS-sampling estimators cited by the paper [6, 18].
     """
-    csr = graph.to_csr()
     n = graph.num_vertices
     if sources is None:
         sources = np.arange(n, dtype=np.int64)
     rows = np.empty((len(sources), n), dtype=np.int64)
     for i, s in enumerate(sources):
-        rows[i] = bfs_distances(csr, int(s), n=n)
+        rows[i] = bfs_distances(graph, int(s))
     return rows
 
 
@@ -135,13 +116,12 @@ def connected_components(graph: Graph) -> np.ndarray:
         assigned in order of discovery (0-based).
     """
     n = graph.num_vertices
-    csr = graph.to_csr()
     labels = np.full(n, -1, dtype=np.int64)
     current = 0
     for v in range(n):
         if labels[v] >= 0:
             continue
-        dist = bfs_distances(csr, v, n=n)
+        dist = bfs_distances(graph, v)
         labels[dist >= 0] = current
         current += 1
     return labels

@@ -113,12 +113,11 @@ def distance_histogram(
             sources = np.arange(n, dtype=np.int64)
     sources = np.asarray(sources, dtype=np.int64)
 
-    csr = graph.to_csr()
     max_dist = 0
     counts = np.zeros(max(n, 2), dtype=np.float64)  # ordered-pair counts
     disconnected = 0.0
     for s in sources:
-        dist = bfs_distances(csr, int(s), n=n)
+        dist = bfs_distances(graph, int(s))
         finite = dist[dist > 0]
         if finite.size:
             row = np.bincount(finite)

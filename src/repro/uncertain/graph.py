@@ -10,70 +10,61 @@ Bernoulli with parameter ``p(e)``; a possible world is a subset
 ``E_W ⊆ E_C`` with probability ``Π_{e∈E_W} p(e) · Π_{e∉E_W} (1−p(e))``
 (Equation 1).
 
-Storage model
--------------
-The class keeps **two interchangeable representations** of the candidate
-set and materialises each lazily from the other:
-
-* a dict keyed by ordered pairs ``(u, v), u < v`` — the mutation-friendly
-  form behind :meth:`set_probability` / :meth:`probability`;
-* flat **pair arrays** ``(us, vs, ps)`` — the vectorised form behind
-  :meth:`pair_arrays` and :meth:`incident_probability_csr`, which the
-  batched posterior engine and the world sampler consume.
-
-``from_arrays`` builds only the array form, so the Algorithm-2 hot loop
-(thousands of candidate graphs per binary-search probe) never pays a
-Python-level dict insert per pair; the dict springs into existence only
-if someone asks a per-pair question.  Mutation invalidates the cached
-arrays.
+Storage
+-------
+A release is one probability per candidate pair, so the class is exactly
+that: three parallel read-only arrays ``(us, vs, ps)`` with ``us < vs``,
+kept in the order they were built.  Every view — the per-vertex
+incidence CSR of the posterior engine, the sorted code index behind
+:meth:`UncertainGraph.probability` — is derived from them lazily and
+cached, and nothing mutates a built graph.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.graphs.graph import Graph
-from repro.utils.validation import check_probability, check_vertex
-
-
-def _ordered(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+from repro.graphs.graph import Graph, read_only
+from repro.utils.validation import check_vertex
 
 
 class UncertainGraph:
-    """Sparse uncertain graph over vertices ``{0, ..., n-1}``.
+    """Sparse, immutable uncertain graph over vertices ``{0, ..., n-1}``.
 
     Parameters
     ----------
     n:
         Number of vertices (shared with the original graph G).
+        ``UncertainGraph(n)`` is the empty release; releases with pairs
+        come from :meth:`from_arrays` or :meth:`from_pairs`.
 
     Notes
     -----
-    * Assigning probability ``0`` removes the pair from the candidate
-      set — a pair with ``p = 0`` and an absent pair are semantically
-      identical and the class keeps them identical physically, so
-      ``num_candidate_pairs`` always counts pairs with ``p > 0`` unless
-      explicitly retained via :meth:`set_probability` with
-      ``keep_zero=True`` (Alg. 2 stores deleted true edges this way to
-      honour ``|E_C| = c|E|`` accounting).
+    A pair with ``p = 0`` and an absent pair agree in every possible
+    world, but not in the per-vertex addend count ``ℓ`` of the degree
+    posterior, which decides ``method="auto"``'s exact/CLT split.  The
+    constructors drop zeros unless ``keep_zero=True``.  Algorithm 2's
+    release keeps every candidate pair it drew, even one whose
+    perturbation lands exactly on ``p = 0``, and
+    :func:`repro.uncertain.io.read_uncertain_graph` keeps zeros too, so
+    a written release reads back with the same ``ℓ``.
     """
 
-    __slots__ = ("_n", "_probs", "_incident", "_arrays", "_csr")
+    __slots__ = ("_n", "_arrays", "_csr", "_index")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError(f"number of vertices must be non-negative, got {n}")
         self._n = int(n)
-        # Exactly one of _probs / _arrays may be None; both non-None means
-        # both views are materialised and consistent.
-        self._probs: dict[tuple[int, int], float] | None = {}
-        self._incident: list[set[tuple[int, int]]] | None = None
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._arrays = read_only(
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -93,11 +84,10 @@ class UncertainGraph:
     def from_pairs(
         cls, n: int, pairs: Iterable[tuple[int, int, float]]
     ) -> "UncertainGraph":
-        """Build from ``(u, v, p)`` triples."""
-        ug = cls(n)
-        for u, v, p in pairs:
-            ug.set_probability(u, v, p)
-        return ug
+        """Build from ``(u, v, p)`` triples; see :meth:`from_arrays`."""
+        triples = list(pairs)
+        us, vs, ps = zip(*triples) if triples else ((), (), ())
+        return cls.from_arrays(n, us, vs, ps)
 
     @classmethod
     def from_arrays(
@@ -111,10 +101,10 @@ class UncertainGraph:
     ) -> "UncertainGraph":
         """Vectorised constructor from parallel ``(us, vs, ps)`` arrays.
 
-        This is the Algorithm-2 fast path: validation, pair ordering and
-        zero-dropping are single array passes, and **no dict is built** —
-        the candidate set lives as the pair arrays until a per-pair query
-        forces materialisation.
+        The one validating constructor: validation, pair ordering and
+        zero-dropping are single array passes.  The pairs keep their
+        input order (the world sampler consumes its uniforms in pair
+        order).
 
         Parameters
         ----------
@@ -125,9 +115,8 @@ class UncertainGraph:
         ps:
             Pair probabilities in [0, 1].
         keep_zero:
-            Retain ``p = 0`` entries in the candidate set (Alg. 2 stores
-            fully-deleted true edges this way); default drops them, like
-            :meth:`set_probability`.
+            Retain ``p = 0`` entries in the candidate set; by default
+            they are dropped.
 
         Raises
         ------
@@ -165,11 +154,7 @@ class UncertainGraph:
         if len(np.unique(codes)) != len(codes):
             raise ValueError("duplicate pairs in from_arrays input")
         ug = cls(n)
-        ug._probs = None
-        ps = ps.copy()  # never freeze (or alias) the caller's buffer
-        for arr in (lo, hi, ps):
-            arr.setflags(write=False)
-        ug._arrays = (lo, hi, ps)
+        ug._arrays = read_only(lo, hi, ps.copy())  # never freeze the caller's ps
         return ug
 
     @classmethod
@@ -187,46 +172,8 @@ class UncertainGraph:
         :meth:`from_arrays`.
         """
         ug = cls(n)
-        ug._probs = None
-        for arr in (us, vs, ps):
-            arr.setflags(write=False)
-        ug._arrays = (us, vs, ps)
+        ug._arrays = read_only(us, vs, ps)
         return ug
-
-    def copy(self) -> "UncertainGraph":
-        """Deep copy (caches are shared copy-on-write where immutable)."""
-        ug = UncertainGraph(self._n)
-        ug._probs = dict(self._probs) if self._probs is not None else None
-        ug._incident = None
-        ug._arrays = self._arrays  # tuple of read-only arrays; safe to share
-        ug._csr = self._csr
-        return ug
-
-    # ------------------------------------------------------------------
-    # lazy materialisation
-    # ------------------------------------------------------------------
-    def _probs_dict(self) -> dict[tuple[int, int], float]:
-        """The dict view, materialising it from the pair arrays if needed."""
-        if self._probs is None:
-            us, vs, ps = self._arrays
-            self._probs = dict(
-                zip(zip(us.tolist(), vs.tolist()), ps.tolist())
-            )
-        return self._probs
-
-    def _incident_sets(self) -> list[set[tuple[int, int]]]:
-        """Per-vertex incident key sets, materialised on demand."""
-        if self._incident is None:
-            incident: list[set[tuple[int, int]]] = [set() for _ in range(self._n)]
-            for key in self._probs_dict():
-                incident[key[0]].add(key)
-                incident[key[1]].add(key)
-            self._incident = incident
-        return self._incident
-
-    def _invalidate_caches(self) -> None:
-        self._arrays = None
-        self._csr = None
 
     # ------------------------------------------------------------------
     # array exports (the batched-engine fast path)
@@ -234,24 +181,10 @@ class UncertainGraph:
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Candidate set as parallel read-only ``(us, vs, ps)`` arrays.
 
-        ``us[i] < vs[i]`` for every entry.  Built once and cached; any
-        :meth:`set_probability` call invalidates the cache.  This is the
-        input format of :class:`repro.uncertain.sampling.WorldSampler`
-        and of :meth:`incident_probability_csr`.
+        ``us[i] < vs[i]`` for every entry, in construction order.  This
+        is the input format of :class:`repro.worlds.WorldBatch` and of
+        :meth:`incident_probability_csr`.
         """
-        if self._arrays is None:
-            probs = self._probs  # non-None by invariant when _arrays is None
-            m = len(probs)
-            us = np.empty(m, dtype=np.int64)
-            vs = np.empty(m, dtype=np.int64)
-            ps = np.empty(m, dtype=np.float64)
-            for i, ((u, v), p) in enumerate(probs.items()):
-                us[i] = u
-                vs[i] = v
-                ps[i] = p
-            for arr in (us, vs, ps):
-                arr.setflags(write=False)
-            self._arrays = (us, vs, ps)
         return self._arrays
 
     def incident_probability_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +200,8 @@ class UncertainGraph:
 
         Notes
         -----
-        One vectorised pass over the pair arrays replaces ``n`` separate
-        :meth:`incident_probabilities` calls; this is what feeds the
-        batched Poisson-binomial engine of
+        One vectorised pass over the pair arrays; this is what feeds
+        the batched Poisson-binomial engine of
         :mod:`repro.core.posterior_batch`.
         """
         if self._csr is None:
@@ -280,10 +212,7 @@ class UncertainGraph:
             indptr = np.zeros(self._n + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             order = np.argsort(endpoints, kind="stable")
-            data = duplicated[order]
-            indptr.setflags(write=False)
-            data.setflags(write=False)
-            self._csr = (indptr, data)
+            self._csr = read_only(indptr, duplicated[order])
         return self._csr
 
     # ------------------------------------------------------------------
@@ -297,8 +226,6 @@ class UncertainGraph:
     @property
     def num_candidate_pairs(self) -> int:
         """Number of pairs carrying an explicit probability (``|E_C|``)."""
-        if self._probs is not None:
-            return len(self._probs)
         return len(self._arrays[0])
 
     def probability(self, u: int, v: int) -> float:
@@ -307,39 +234,22 @@ class UncertainGraph:
         v = check_vertex(v, self._n, "v")
         if u == v:
             raise ValueError("pairs must have distinct endpoints")
-        return self._probs_dict().get(_ordered(u, v), 0.0)
+        if self._index is None:
+            us, vs, _ = self._arrays
+            codes = us * np.int64(self._n) + vs
+            order = np.argsort(codes)
+            self._index = (codes[order], order)
+        codes, order = self._index
+        code = min(u, v) * self._n + max(u, v)
+        i = int(np.searchsorted(codes, code))
+        if i < len(codes) and int(codes[i]) == code:
+            return float(self._arrays[2][order[i]])
+        return 0.0
 
     def candidate_pairs(self) -> Iterator[tuple[int, int, float]]:
         """Iterate ``(u, v, p)`` triples of the candidate set (u < v)."""
-        if self._probs is None:
-            us, vs, ps = self._arrays
-            yield from zip(us.tolist(), vs.tolist(), ps.tolist())
-        else:
-            for (u, v), p in self._probs.items():
-                yield (u, v, p)
-
-    def incident_pairs(self, v: int) -> list[tuple[int, int, float]]:
-        """Candidate pairs touching ``v`` as ``(u, w, p)`` triples."""
-        check_vertex(v, self._n)
-        probs = self._probs_dict()
-        return [(u, w, probs[(u, w)]) for (u, w) in self._incident_sets()[v]]
-
-    def incident_probabilities(self, v: int) -> np.ndarray:
-        """Probabilities of the candidate pairs incident to ``v``.
-
-        This is the Bernoulli vector feeding the Poisson-binomial degree
-        distribution of §4 (Equation 4 restricted to E_C).  Scalar
-        counterpart of :meth:`incident_probability_csr`.
-        """
-        check_vertex(v, self._n)
-        probs = self._probs_dict()
-        return np.array(
-            [probs[key] for key in self._incident_sets()[v]], dtype=np.float64
-        )
-
-    def expected_degree(self, v: int) -> float:
-        """``E[d_v] = Σ p(e)`` over candidate pairs incident to v."""
-        return float(self.incident_probabilities(v).sum())
+        us, vs, ps = self._arrays
+        return zip(us.tolist(), vs.tolist(), ps.tolist())
 
     def expected_degrees(self) -> np.ndarray:
         """Vector of expected degrees for all vertices (one add.at pass)."""
@@ -352,98 +262,6 @@ class UncertainGraph:
     def expected_num_edges(self) -> float:
         """``E[S_NE] = Σ_e p(e)`` (the exact formula of §6.2)."""
         return float(self.pair_arrays()[2].sum())
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def set_probability(
-        self, u: int, v: int, p: float, *, keep_zero: bool = False
-    ) -> None:
-        """Assign ``p(u, v) = p``.
-
-        ``p = 0`` deletes the pair from the candidate set unless
-        ``keep_zero`` is set (used when the zero must still count toward
-        ``|E_C|`` bookkeeping, e.g. fully-deleted true edges in Alg. 2).
-        """
-        u = check_vertex(u, self._n, "u")
-        v = check_vertex(v, self._n, "v")
-        if u == v:
-            raise ValueError("pairs must have distinct endpoints")
-        check_probability(p, "p")
-        probs = self._probs_dict()
-        self._invalidate_caches()
-        key = _ordered(u, v)
-        if p == 0.0 and not keep_zero:
-            if key in probs:
-                del probs[key]
-                if self._incident is not None:
-                    self._incident[u].discard(key)
-                    self._incident[v].discard(key)
-            return
-        probs[key] = float(p)
-        if self._incident is not None:
-            self._incident[u].add(key)
-            self._incident[v].add(key)
-
-    # ------------------------------------------------------------------
-    # possible-world semantics
-    # ------------------------------------------------------------------
-    def world_log_probability(self, world: Graph) -> float:
-        """Natural-log probability of a possible world (Equation 1).
-
-        ``world`` must be a graph on the same vertex set whose edges are
-        a subset of the candidate pairs; otherwise the probability is 0
-        (returns ``-inf``).
-        """
-        if world.num_vertices != self._n:
-            raise ValueError("world must share the vertex set")
-        log_p = 0.0
-        world_edges = world.edge_set()
-        probs = self._probs_dict()
-        for (u, v), p in probs.items():
-            present = (u, v) in world_edges
-            if present:
-                if p == 0.0:
-                    return -math.inf
-                log_p += math.log(p)
-            else:
-                if p == 1.0:
-                    return -math.inf
-                log_p += math.log1p(-p)
-        if world_edges - set(probs):
-            return -math.inf
-        return log_p
-
-    def world_probability(self, world: Graph) -> float:
-        """Probability of a possible world; see :meth:`world_log_probability`."""
-        return math.exp(self.world_log_probability(world))
-
-    def enumerate_worlds(self) -> Iterator[tuple[Graph, float]]:
-        """Yield every possible world with its probability.
-
-        Exponential in ``|E_C|`` — intended for tests and the worked
-        examples of §3 only; guarded at 20 candidate pairs.
-        """
-        pairs = list(self._probs_dict().items())
-        if len(pairs) > 20:
-            raise ValueError(
-                f"refusing to enumerate 2^{len(pairs)} worlds; use sampling"
-            )
-        for mask in range(1 << len(pairs)):
-            g = Graph(self._n)
-            prob = 1.0
-            for i, ((u, v), p) in enumerate(pairs):
-                if mask >> i & 1:
-                    prob *= p
-                    if prob == 0.0:
-                        break
-                    g.add_edge(u, v)
-                else:
-                    prob *= 1.0 - p
-                    if prob == 0.0:
-                        break
-            if prob > 0.0:
-                yield g, prob
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
+from repro.graphs.io import int64_ids
 from repro.uncertain.graph import UncertainGraph
 
 
@@ -35,14 +38,16 @@ def read_uncertain_graph(
     both raise ``ValueError`` instead of loading silently as a
     different graph.  So does an unordered pair listed twice, which
     the writer never emits and which would otherwise load as whichever
-    probability came last.  Headerless files (no ``n=``/``candidates=``)
-    remain accepted for interoperability, with ``n`` inferred from the
-    largest id.
+    probability came last, and a vertex id that does not fit
+    ``int64``.  Pairs with ``p = 0`` are kept, so the release reads
+    back with the candidate count its header declares.  Headerless
+    files (no ``n=``/``candidates=``) remain accepted for
+    interoperability, with ``n`` inferred from the largest id.
     """
-    triples: list[tuple[int, int, float]] = []
+    ids: list[int] = []
+    ps: list[float] = []
     header_n: int | None = None
     header_candidates: int | None = None
-    max_id = -1
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -58,23 +63,23 @@ def read_uncertain_graph(
             parts = line.split()
             if len(parts) < 3:
                 raise ValueError(f"malformed uncertain-edge line: {line!r}")
-            u, v, p = int(parts[0]), int(parts[1]), float(parts[2])
-            triples.append((u, v, p))
-            max_id = max(max_id, u, v)
-    if header_candidates is not None and header_candidates != len(triples):
+            ids += (int(parts[0]), int(parts[1]))
+            ps.append(float(parts[2]))
+    us, vs = int64_ids(ids, path).reshape(-1, 2).T
+    if header_candidates is not None and header_candidates != len(ps):
         raise ValueError(
             f"{os.fspath(path)}: header declares candidates="
-            f"{header_candidates} but file holds {len(triples)} pair lines "
+            f"{header_candidates} but file holds {len(ps)} pair lines "
             "(truncated or corrupted release)"
         )
+    max_id = int(max(us.max(initial=-1), vs.max(initial=-1)))
     if header_n is not None and max_id >= header_n:
         raise ValueError(
             f"{os.fspath(path)}: vertex id {max_id} out of range for "
             f"header n={header_n} (corrupted release)"
         )
     seen: set[tuple[int, int]] = set()
-    for u, v, _ in triples:
-        pair = (min(u, v), max(u, v))
+    for pair in zip(np.minimum(us, vs).tolist(), np.maximum(us, vs).tolist()):
         if pair in seen:
             raise ValueError(
                 f"{os.fspath(path)}: pair {pair} listed more than once "
@@ -83,4 +88,4 @@ def read_uncertain_graph(
         seen.add(pair)
     if n is None:
         n = header_n if header_n is not None else max_id + 1
-    return UncertainGraph.from_pairs(n, triples)
+    return UncertainGraph.from_arrays(n, us, vs, ps, keep_zero=True)

@@ -13,8 +13,9 @@ seed produce *identical* edge sets.  Equivalence tests pin this.
 The keep matrix is stored **bit-packed** (``W × ⌈m/8⌉`` bytes) so that
 hundreds of worlds over hundreds of thousands of candidate pairs fit
 comfortably in memory; the boolean view is unpacked transiently when a
-kernel needs it.  Graphs are materialised lazily and in bulk via
-:meth:`repro.graphs.graph.Graph.from_edge_array` — the batch itself
+kernel needs it.  A world becomes a :class:`repro.graphs.graph.Graph`
+only on request, as one CSR array build by
+:meth:`~repro.graphs.graph.Graph.from_edge_array` — the batch itself
 never holds per-world Python objects.
 """
 
@@ -180,9 +181,9 @@ class WorldBatch:
         union_cell:
             Optional shared union-incidence holder.  Successive batches
             sampled from the *same* uncertain graph share one candidate
-            pair set (``pair_arrays`` is cached), so a caller looping
-            chunks can thread one cell through and pay the incidence
-            lexsort once instead of once per chunk.
+            pair set (``pair_arrays`` is the graph's own storage), so a
+            caller looping chunks can thread one cell through and pay
+            the incidence lexsort once instead of once per chunk.
         """
         if worlds < 0:
             raise ValueError(f"number of worlds must be non-negative, got {worlds}")

@@ -26,7 +26,7 @@ class TestSparsification:
 
     def test_no_additions(self, graph):
         out = random_sparsification(graph, 0.4, seed=1)
-        assert out.edge_set() <= graph.edge_set()
+        assert set(out.edges()) <= set(graph.edges())
 
     def test_expected_removal_fraction(self, graph):
         p = 0.3
@@ -70,14 +70,14 @@ class TestPerturbation:
 
     def test_adds_only_original_non_edges(self, graph):
         out = random_perturbation(graph, 0.5, seed=2)
-        added = out.edge_set() - graph.edge_set()
+        added = set(out.edges()) - set(graph.edges())
         for u, v in added:
             assert not graph.has_edge(u, v)
 
     def test_removal_rate(self, graph):
         p = 0.4
         kept = [
-            len(random_perturbation(graph, p, seed=s).edge_set() & graph.edge_set())
+            len(set(random_perturbation(graph, p, seed=s).edges()) & set(graph.edges()))
             for s in range(20)
         ]
         assert np.mean(kept) == pytest.approx((1 - p) * graph.num_edges, rel=0.06)

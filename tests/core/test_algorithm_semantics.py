@@ -23,14 +23,8 @@ class TestCandidateSetSemantics:
         """§5.3: 'the resulting set E_C includes most of the edges in E'."""
         params = ObfuscationParams(k=1, eps=0.5, attempts=1)
         out = generate_obfuscation(graph, 0.1, params, seed=1)
-        in_ec = sum(
-            1
-            for u, v in graph.edges()
-            if any(
-                (min(u, v), max(u, v)) == (a, b)
-                for a, b, _ in out.uncertain.incident_pairs(u)
-            )
-        )
+        ec_pairs = {(a, b) for a, b, _ in out.uncertain.candidate_pairs()}
+        in_ec = sum(1 for edge in graph.edges() if edge in ec_pairs)
         assert in_ec > 0.9 * graph.num_edges
 
     def test_removed_edges_become_certain_non_edges(self, graph):

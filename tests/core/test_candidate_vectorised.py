@@ -163,7 +163,7 @@ class TestBuilderEquivalence:
         rng_seq = np.random.default_rng(seed)
         rng_vec = np.random.default_rng(seed)
         candidate, draws_seq = build_candidate_set(
-            n, graph.edge_set(), target, probs, rng_seq
+            n, set(graph.edges()), target, probs, rng_seq
         )
         codes, is_edge, removed, draws_vec = _build_candidate_codes(
             n, graph.edge_codes(), target, sampler, rng_vec
@@ -186,12 +186,12 @@ class TestBuilderEquivalence:
         probs = _uniform_probs(5)
         rng_a = np.random.default_rng(0)
         rng_b = np.random.default_rng(0)
-        candidate, d1 = build_candidate_set(5, star5.edge_set(), 4, probs, rng_a)
+        candidate, d1 = build_candidate_set(5, set(star5.edges()), 4, probs, rng_a)
         codes, is_edge, removed, d2 = _build_candidate_codes(
             5, star5.edge_codes(), 4, WeightedVertexSampler(probs), rng_b
         )
         assert d1 == d2 == 0
-        assert candidate == star5.edge_set()
+        assert candidate == set(star5.edges())
         np.testing.assert_array_equal(codes, star5.edge_codes())
         assert is_edge.all()
         assert len(removed) == 0
@@ -203,7 +203,7 @@ class TestBuilderEquivalence:
         rng_a = np.random.default_rng(2)
         rng_b = np.random.default_rng(2)
         with pytest.raises(CandidateStallError) as seq_err:
-            build_candidate_set(5, star5.edge_set(), target, probs, rng_a)
+            build_candidate_set(5, set(star5.edges()), target, probs, rng_a)
         with pytest.raises(CandidateStallError) as vec_err:
             _build_candidate_codes(
                 5, star5.edge_codes(), target, WeightedVertexSampler(probs), rng_b

@@ -22,12 +22,6 @@ class TestConstruction:
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
 
-    def test_copy_is_independent(self, triangle):
-        clone = triangle.copy()
-        clone.remove_edge(0, 1)
-        assert triangle.has_edge(0, 1)
-        assert not clone.has_edge(0, 1)
-
     def test_equality(self, triangle):
         other = Graph.from_edges(3, [(1, 2), (0, 2), (0, 1)])
         assert triangle == other
@@ -37,40 +31,36 @@ class TestConstruction:
 
 
 class TestMutation:
+    """A graph is fixed at construction: no method or array mutates it."""
+
     def test_add_and_query(self):
-        g = Graph(3)
-        g.add_edge(0, 2)
+        g = Graph.from_edges(3, [(0, 2)])
         assert g.has_edge(0, 2)
         assert g.has_edge(2, 0)
         assert not g.has_edge(0, 1)
 
     def test_self_loop_rejected(self):
-        g = Graph(3)
         with pytest.raises(ValueError, match="self loop"):
-            g.add_edge(1, 1)
-
-    def test_duplicate_add_rejected(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        with pytest.raises(ValueError, match="already"):
-            g.add_edge(1, 0)
-
-    def test_remove(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        g.remove_edge(1, 0)
-        assert g.num_edges == 0
-        assert not g.has_edge(0, 1)
-
-    def test_remove_missing_rejected(self):
-        g = Graph(3)
-        with pytest.raises(ValueError, match="not present"):
-            g.remove_edge(0, 1)
+            Graph.from_edges(3, [(1, 1)])
 
     def test_out_of_range_vertex_rejected(self):
-        g = Graph(3)
         with pytest.raises(ValueError):
-            g.add_edge(0, 3)
+            Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError):
+            Graph(3).has_edge(0, 3)
+
+    @pytest.mark.parametrize("name", ["indptr", "indices"])
+    def test_arrays_are_read_only(self, triangle, name):
+        array = getattr(triangle, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+        assert triangle.num_edges == 3
+
+    def test_no_mutators(self, triangle):
+        for name in ("add_edge", "remove_edge", "copy", "to_csr", "edge_set"):
+            assert not hasattr(triangle, name)
+        with pytest.raises(AttributeError):
+            triangle._adj = []
 
 
 class TestAccessors:
@@ -104,32 +94,69 @@ class TestAccessors:
         assert len(triangle) == 3
 
     def test_edge_set(self, path4):
-        assert path4.edge_set() == {(0, 1), (1, 2), (2, 3)}
+        assert set(path4.edges()) == {(0, 1), (1, 2), (2, 3)}
+
+    def test_edge_codes_sorted(self, path4):
+        assert path4.edge_codes().tolist() == [1, 6, 11]
+        assert path4.edge_array().tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
 class TestCsr:
     def test_round_trip(self, star5):
-        indptr, indices = star5.to_csr()
+        indptr, indices = star5.indptr, star5.indices
         assert len(indptr) == 6
         assert indptr[-1] == 2 * star5.num_edges
         # centre row holds all leaves
         assert sorted(indices[indptr[0] : indptr[1]]) == [1, 2, 3, 4]
 
     def test_rows_sorted(self, rng):
-        g = Graph(20)
-        for _ in range(60):
-            u, v = int(rng.integers(20)), int(rng.integers(20))
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v)
-        indptr, indices = g.to_csr()
+        edges = rng.integers(0, 20, size=(60, 2))
+        g = Graph.from_edge_array(20, edges[edges[:, 0] != edges[:, 1]])
         for v in range(20):
-            row = indices[indptr[v] : indptr[v + 1]]
+            row = g.indices[g.indptr[v] : g.indptr[v + 1]]
             assert list(row) == sorted(row)
 
     def test_degree_matches_indptr(self, path4):
-        indptr, _ = path4.to_csr()
+        indptr = path4.indptr
         for v in range(4):
             assert indptr[v + 1] - indptr[v] == path4.degree(v)
+
+
+@st.composite
+def edge_arrays(draw):
+    """Random edge arrays with duplicates and mirrored pairs."""
+    n = draw(st.integers(1, 25))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=80,
+        )
+    )
+    mirrors = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    rows = pairs + [(v, u) for u, v in mirrors] + pairs[:5]
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+class TestCsrProperty:
+    @given(edge_arrays())
+    def test_csr_equals_sorted_python_adjacency(self, case):
+        n, edges = case
+        adjacency = [set() for _ in range(n)]
+        for u, v in edges.tolist():
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        g = Graph.from_edge_array(n, edges)
+        expected = [sorted(nbrs) for nbrs in adjacency]
+        assert g.indptr.tolist() == [0] + np.cumsum(
+            [len(row) for row in expected]
+        ).tolist()
+        assert g.indices.tolist() == [w for row in expected for w in row]
+        assert g.degrees().tolist() == [len(row) for row in expected]
+        assert g.edge_array().tolist() == sorted(
+            [u, v] for u, row in enumerate(expected) for v in row if u < v
+        )
 
 
 class TestPairIndex:
@@ -157,9 +184,6 @@ class TestHandshakeProperty:
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))
     def test_degree_sum_is_twice_edges(self, n, seed):
         rng = np.random.default_rng(seed)
-        g = Graph(n)
-        for _ in range(min(3 * n, 40)):
-            u, v = int(rng.integers(n)), int(rng.integers(n))
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v)
+        edges = rng.integers(n, size=(min(3 * n, 40), 2))
+        g = Graph.from_edge_array(n, edges[edges[:, 0] != edges[:, 1]])
         assert g.degrees().sum() == 2 * g.num_edges

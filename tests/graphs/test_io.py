@@ -14,8 +14,7 @@ class TestRoundTrip:
         assert read_edge_list(path) == triangle
 
     def test_trailing_isolated_vertices_survive(self, tmp_path):
-        g = Graph(6)
-        g.add_edge(0, 1)
+        g = Graph.from_edges(6, [(0, 1)])
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert read_edge_list(path).num_vertices == 6
@@ -49,6 +48,13 @@ class TestReading:
         path = tmp_path / "bad.txt"
         path.write_text("0\n")
         with pytest.raises(ValueError, match="malformed"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("bad", ["99999999999999999999", "-99999999999999999999"])
+    def test_id_beyond_int64_rejected(self, tmp_path, bad):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"0 1\n{bad} 1\n")
+        with pytest.raises(ValueError, match="does not fit int64"):
             read_edge_list(path)
 
     def test_duplicate_edges_collapsed(self, tmp_path):

@@ -43,9 +43,11 @@ class TestBfsDistances:
         assert all(dist[i] == 2 for i in range(2, 5))
 
     def test_csr_input_matches_graph_input(self, star5):
-        csr = star5.to_csr()
+        """A graph wrapped around another's CSR arrays (as sweep workers
+        wrap the shared ones) traverses identically."""
+        wrapped = Graph._from_csr(star5.indptr, star5.indices)
         a = bfs_distances(star5, 0)
-        b = bfs_distances(csr, 0, n=5)
+        b = bfs_distances(wrapped, 0)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -116,7 +116,7 @@ def generate_obfuscation(
             f"plus {setup.available_additions} addable non-edges outside H"
         )
 
-    edge_set = graph.edge_set()
+    edge_set = set(graph.edges())
     pair_key = int(rng.integers(0, 2**63 - 1))
     k_threshold = math.log2(params.k) - 1e-12
     batch_size = _candidate_batch_size(target_size, m)

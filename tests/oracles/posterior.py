@@ -2,7 +2,10 @@
 for the batched engine.
 
 :func:`compute_degree_posterior_scalar` builds ``X_v(ω)`` with one
-scalar :func:`repro.core.degree_pmf` call per vertex.  The tests pin
+scalar :func:`repro.core.degree_pmf` call per vertex, over Bernoulli
+vectors that :func:`incident_probabilities` gathers with a plain loop
+over the pair arrays, so the reference shares no code with the
+incidence CSR the product certifies from.  The tests pin
 :func:`repro.core.obfuscation_check.compute_degree_posterior` against
 it, and ``benchmarks/bench_posterior_batch.py`` times the two side by
 side.  :func:`poisson_binomial_pmf_batch` runs the same DP over a dense
@@ -18,6 +21,19 @@ from repro.core.obfuscation_check import DegreePosterior
 from repro.uncertain.graph import UncertainGraph
 
 
+def incident_probabilities(uncertain: UncertainGraph) -> list[np.ndarray]:
+    """Each vertex's candidate-pair probabilities, in pair order.
+
+    The Bernoulli vector of Equation 4, scalar counterpart of
+    :meth:`repro.uncertain.graph.UncertainGraph.incident_probability_csr`.
+    """
+    rows: list[list[float]] = [[] for _ in range(uncertain.num_vertices)]
+    for u, v, p in zip(*(a.tolist() for a in uncertain.pair_arrays())):
+        rows[u].append(p)
+        rows[v].append(p)
+    return [np.array(row, dtype=np.float64) for row in rows]
+
+
 def compute_degree_posterior_scalar(
     uncertain: UncertainGraph,
     *,
@@ -27,7 +43,7 @@ def compute_degree_posterior_scalar(
     """:func:`repro.core.obfuscation_check.compute_degree_posterior`,
     one vertex at a time (same ``method`` and ``width`` semantics)."""
     n = uncertain.num_vertices
-    prob_vectors = [uncertain.incident_probabilities(v) for v in range(n)]
+    prob_vectors = incident_probabilities(uncertain)
     if width is None:
         max_support = max((len(p) for p in prob_vectors), default=0)
         width = max_support + 1

@@ -52,11 +52,12 @@ class TestOraclePinning:
         vector = release.expected_degrees()
         for v in (0, 7, 49):
             served = _value(engine.execute_one(Query(op="degree", source=v)))
-            # bit-equal to the vectorised aggregate; the per-vertex dict
-            # path sums in a different order, so only ~1e-12 close.
+            # bit-equal to the vectorised aggregate; a plain pair loop
+            # sums in a different order, so only ~1e-12 close.
             assert served["value"] == float(vector[v])
             assert served["value"] == pytest.approx(
-                release.expected_degree(v), abs=1e-9
+                sum(p for a, b, p in release.candidate_pairs() if v in (a, b)),
+                abs=1e-9,
             )
 
     def test_reliability(self, release, engine):

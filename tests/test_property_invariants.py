@@ -21,28 +21,29 @@ from repro.graphs.graph import Graph
 from repro.stats.distance import distance_histogram
 from repro.uncertain.graph import UncertainGraph
 from repro.uncertain.io import read_uncertain_graph, write_uncertain_graph
+from tests.oracles.worlds import enumerate_worlds
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
-    g = Graph(n)
+    edges: set[tuple[int, int]] = set()
     tries = 0
-    while g.num_edges < m and tries < 20 * m:
+    while len(edges) < m and tries < 20 * m:
         tries += 1
         u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v)
-    return g
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
 
 
 def random_uncertain(n: int, pairs: int, seed: int) -> UncertainGraph:
     rng = np.random.default_rng(seed)
-    ug = UncertainGraph(n)
+    probs: dict[tuple[int, int], float] = {}  # a re-drawn pair keeps its last p
     for _ in range(pairs):
         u, v = int(rng.integers(n)), int(rng.integers(n))
         if u != v:
-            ug.set_probability(u, v, float(rng.random()))
-    return ug
+            probs[(min(u, v), max(u, v))] = float(rng.random())
+    return UncertainGraph.from_pairs(n, [(u, v, p) for (u, v), p in probs.items()])
 
 
 class TestUncertainGraphInvariants:
@@ -86,7 +87,7 @@ class TestUncertainGraphInvariants:
         ug = random_uncertain(n, pairs, seed)
         post = compute_degree_posterior(ug, method="exact")
         x_enum = np.zeros_like(post.matrix)
-        for world, prob in ug.enumerate_worlds():
+        for world, prob in enumerate_worlds(ug):
             for v in range(n):
                 d = world.degree(v)
                 if d < post.width:
@@ -170,11 +171,10 @@ class TestDistanceInvariants:
         g = random_graph(n, m, seed)
         hist_before = distance_histogram(g)
         rng = np.random.default_rng(seed + 1)
-        g2 = g.copy()
         for _ in range(10):
             u, v = int(rng.integers(n)), int(rng.integers(n))
-            if u != v and not g2.has_edge(u, v):
-                g2.add_edge(u, v)
+            if u != v and not g.has_edge(u, v):
+                g2 = Graph.from_edges(n, [*g.edges(), (u, v)])
                 break
         else:
             return

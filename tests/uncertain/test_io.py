@@ -3,6 +3,7 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from repro.uncertain.io import read_uncertain_graph, write_uncertain_graph
 
 @st.composite
 def array_graphs(draw):
-    """``from_arrays`` graphs with p ∈ (0, 1] and either pair orientation."""
+    """``from_arrays`` graphs with p ∈ [0, 1], either pair orientation,
+    and explicit ``p = 0`` pairs kept or dropped."""
     n = draw(st.integers(2, 12))
     pairs = sorted(
         draw(
@@ -28,13 +30,15 @@ def array_graphs(draw):
     size = len(pairs)
     ps = draw(
         st.lists(
-            st.floats(0.0, 1.0, exclude_min=True), min_size=size, max_size=size
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+            min_size=size,
+            max_size=size,
         )
     )
     flips = draw(st.lists(st.booleans(), min_size=size, max_size=size))
     us = [v if flip else u for (u, v), flip in zip(pairs, flips)]
     vs = [u if flip else v for (u, v), flip in zip(pairs, flips)]
-    return UncertainGraph.from_arrays(n, us, vs, ps)
+    return UncertainGraph.from_arrays(n, us, vs, ps, keep_zero=draw(st.booleans()))
 
 
 class TestRoundTrip:
@@ -61,14 +65,27 @@ class TestRoundTrip:
             write_uncertain_graph(ug, path)
             back = read_uncertain_graph(path)
         assert back.num_vertices == ug.num_vertices
+        assert back.num_candidate_pairs == ug.num_candidate_pairs
         assert sorted(back.candidate_pairs()) == sorted(ug.candidate_pairs())
 
     def test_isolated_vertices_survive(self, tmp_path):
-        ug = UncertainGraph(9)
-        ug.set_probability(0, 1, 0.4)
+        ug = UncertainGraph.from_pairs(9, [(0, 1, 0.4)])
         path = tmp_path / "ug.txt"
         write_uncertain_graph(ug, path)
         assert read_uncertain_graph(path).num_vertices == 9
+
+    def test_zero_probability_pairs_survive(self, tmp_path):
+        """An explicit ``p = 0`` pair counts toward the header's
+        ``candidates=`` and toward each endpoint's addend count ℓ."""
+        ug = UncertainGraph.from_arrays(3, [0, 1], [1, 2], [0.0, 0.5], keep_zero=True)
+        path = tmp_path / "ug.txt"
+        write_uncertain_graph(ug, path)
+        back = read_uncertain_graph(path)
+        assert back.num_candidate_pairs == 2
+        assert sorted(back.candidate_pairs()) == [(0, 1, 0.0), (1, 2, 0.5)]
+        np.testing.assert_array_equal(
+            back.incident_probability_csr()[0], ug.incident_probability_csr()[0]
+        )
 
 
 class TestReading:
@@ -145,3 +162,47 @@ class TestHeaderValidation:
         path = tmp_path / "plain.txt"
         path.write_text("0 5 0.25\n")
         assert read_uncertain_graph(path).num_vertices == 6
+
+    @pytest.mark.parametrize("bad", ["99999999999999999999", "-99999999999999999999"])
+    def test_id_beyond_int64_rejected(self, tmp_path, bad):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"0 1 0.5\n{bad} 1 0.5\n")
+        with pytest.raises(ValueError, match="does not fit int64"):
+            read_uncertain_graph(path)
+
+
+class TestCorruptedReleaseFuzz:
+    """A headed release that lost its tail or had one byte flipped
+    either loads or raises ``ValueError``: never another exception."""
+
+    @staticmethod
+    def _load_or_reject(data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ug.txt"
+            path.write_bytes(data)
+            try:
+                ug = read_uncertain_graph(path)
+            except ValueError:
+                return
+        assert ug.num_vertices >= 0
+        ug.incident_probability_csr()
+
+    @staticmethod
+    def _release_bytes(ug) -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ug.txt"
+            write_uncertain_graph(ug, path)
+            return path.read_bytes()
+
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    @given(array_graphs(), st.data())
+    def test_truncation(self, ug, data):
+        raw = self._release_bytes(ug)
+        self._load_or_reject(raw[: data.draw(st.integers(0, len(raw)))])
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(array_graphs(), st.data())
+    def test_flipped_byte(self, ug, data):
+        raw = bytearray(self._release_bytes(ug))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        self._load_or_reject(bytes(raw))

@@ -15,8 +15,7 @@ class TestWorldSampler:
             assert sampler.sample(seed=seed).has_edge(0, 1)
 
     def test_zero_pairs_never_appear(self):
-        ug = UncertainGraph(3)
-        ug.set_probability(0, 1, 0.0, keep_zero=True)
+        ug = UncertainGraph.from_arrays(3, [0], [1], [0.0], keep_zero=True)
         sampler = WorldSampler(ug)
         for seed in range(5):
             assert not sampler.sample(seed=seed).has_edge(0, 1)

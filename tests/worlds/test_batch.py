@@ -81,7 +81,7 @@ class TestViews:
         for w in range(64):
             bit = (lanes >> np.uint64(w)) & np.uint64(1) == 1
             got = set(zip(us[bit].tolist(), vs[bit].tolist()))
-            assert got == batch.world_graph(3 + w).edge_set()
+            assert got == set(batch.world_graph(3 + w).edges())
         # pairs no world of the slice keeps are dropped
         assert len(us) == int(keep[3:67].any(axis=0).sum())
 
@@ -98,7 +98,8 @@ class TestViews:
         n = batch.num_vertices
         assert len(indptr) == 3 * n + 1
         for w in range(3):
-            g_indptr, g_indices = batch.world_graph(w).to_csr()
+            world = batch.world_graph(w)
+            g_indptr, g_indices = world.indptr, world.indices
             lo, hi = indptr[w * n], indptr[(w + 1) * n]
             np.testing.assert_array_equal(indptr[w * n : (w + 1) * n + 1] - lo,
                                           g_indptr)
@@ -129,9 +130,9 @@ class TestEdgeCases:
             WorldBatch.sample(small_uncertain, -1, seed=0)
 
     def test_certain_and_impossible_pairs(self):
-        ug = UncertainGraph(3)
-        ug.set_probability(0, 1, 1.0)
-        ug.set_probability(1, 2, 0.0, keep_zero=True)
+        ug = UncertainGraph.from_arrays(
+            3, [0, 1], [1, 2], [1.0, 0.0], keep_zero=True
+        )
         batch = WorldBatch.sample(ug, 8, seed=0)
         for g in batch.graphs():
             assert g.has_edge(0, 1) and not g.has_edge(1, 2)

@@ -131,9 +131,9 @@ class TestBatchShape:
     def test_perturbation_additions_only_original_non_edges(self):
         graph = erdos_renyi(40, 0.15, seed=3)
         batch = sample_releases(graph, "perturbation", 0.5, 6, seed=9)
-        original = graph.edge_set()
+        original = set(graph.edges())
         for w in range(6):
-            added = batch.world_graph(w).edge_set() - original
+            added = set(batch.world_graph(w).edges()) - original
             assert all(not graph.has_edge(u, v) for u, v in added)
 
     def test_sparsification_candidates_are_original_edges(self):
@@ -141,7 +141,7 @@ class TestBatchShape:
         batch = sample_releases(graph, "sparsification", 0.5, 6, seed=9)
         assert batch.num_candidate_pairs == graph.num_edges
         for w in range(6):
-            assert batch.world_graph(w).edge_set() <= graph.edge_set()
+            assert set(batch.world_graph(w).edges()) <= set(graph.edges())
 
     def test_zero_worlds(self):
         graph = erdos_renyi(20, 0.2, seed=0)
