@@ -111,10 +111,8 @@ def main() -> int:
         # --- World statistics: serial vs sharded chunks -----------------
         entry = next(e for e in serial_sweep if e.result.success)
         unc = entry.result.uncertain
-        serial_est = WorldStatisticsEstimator(unc, distance_seed=0)
-        sharded_est = WorldStatisticsEstimator(
-            unc, distance_seed=0, executor=ex
-        )
+        serial_est = WorldStatisticsEstimator(unc)
+        sharded_est = WorldStatisticsEstimator(unc, executor=ex)
         t0 = time.perf_counter()
         out_serial = serial_est.run(worlds=WORLDS, seed=7)
         t_worlds_serial = time.perf_counter() - t0

@@ -238,11 +238,9 @@ def exec_speedup(rounds: int = 3, workers: int = 2) -> int:
     def run(estimator):
         return estimator.run(worlds=worlds, seed=seed)
 
-    serial = WorldStatisticsEstimator(unc, distance_seed=0)
+    serial = WorldStatisticsEstimator(unc)
     with ChunkExecutor(backend="process", workers=workers) as ex:
-        sharded = WorldStatisticsEstimator(
-            unc, distance_seed=0, executor=ex
-        )
+        sharded = WorldStatisticsEstimator(unc, executor=ex)
         out_serial = run(serial)  # warm-up + reference values
         out_sharded = run(sharded)  # warm-up: forks the pool
         for name in out_serial:

@@ -136,13 +136,12 @@ class ChunkPlan:
         num_vertices: int,
         num_candidate_pairs: int,
         anf: bool,
-        anf_b: int = 6,
         chunk_size: int | None = None,
     ) -> "ChunkPlan":
         """World-evaluation plan for one kernel group (the estimator's auto rule)."""
         if chunk_size is None:
             chunk_size = world_eval_chunk_size(
-                num_vertices, num_candidate_pairs, anf=anf, anf_b=anf_b
+                num_vertices, num_candidate_pairs, anf=anf
             )
         return cls("worlds", total, chunk_size)
 

@@ -21,8 +21,7 @@ from repro.core.obfuscation_check import compute_degree_posterior
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import SweepEntry
 from repro.stats.degree import degree_distribution
-from repro.stats.distance import distance_histogram
-from repro.anf.distance_stats import anf_distance_histogram
+from repro.stats.registry import backend_histogram
 from repro.uncertain.sampling import WorldSampler
 from repro.utils.rng import as_rng
 from repro.worlds.releases import sample_releases
@@ -80,14 +79,10 @@ def figure2_data(
     numerator, as in the paper's fraction-of-pairs axis).
     """
     assert entry.result.uncertain is not None
-    if config.distance_backend == "exact":
-        hist_fn = lambda g: distance_histogram(g).fractions()
-    elif config.distance_backend == "sampled":
-        hist_fn = lambda g: distance_histogram(
-            g, sample_size=min(g.num_vertices, 256), seed=config.seed
+    def hist_fn(g):
+        return backend_histogram(
+            g, config.distance_backend, seed=config.seed
         ).fractions()
-    else:
-        hist_fn = lambda g: anf_distance_histogram(g, seed=config.seed).fractions()
 
     original = _pad([hist_fn(entry.graph)], max_distance + 1)[0]
     sampler = WorldSampler(entry.result.uncertain)

@@ -6,7 +6,8 @@ Every :meth:`record` republishes the whole ledger through the atomic
 write helper, so an interrupt (SIGINT, SIGKILL, power loss) at *any*
 instant leaves either the previous or the new ledger — never a torn
 one.  A torn trailing line from a pre-atomic writer is tolerated on
-load (skipped), matching the crash model.
+load (skipped), matching the crash model; any other line that is not a
+well-formed fingerprint or cell record raises ``ValueError`` naming it.
 
 Exactness: scalars ride JSON (``repr``-based float formatting
 round-trips every float64 exactly) and arrays ride ``.npz`` (raw
@@ -49,20 +50,52 @@ class CheckpointStore:
     def _load(self) -> None:
         if not self.ledger.exists():
             return
-        for line in self.ledger.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        lines = [
+            (number, line)
+            for number, line in enumerate(self.ledger.read_text().splitlines(), 1)
+            if line.strip()
+        ]
+        for i, (number, line) in enumerate(lines):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
-                # A torn trailing line from an interrupted legacy write:
-                # drop it; the cell recomputes deterministically.
-                continue
-            if rec.get("kind") == "fingerprint":
-                self._fingerprint = rec.get("config")
-            elif rec.get("kind") == "cell":
+                if i == len(lines) - 1:
+                    # A torn trailing line from an interrupted legacy
+                    # write: drop it; the cell recomputes deterministically.
+                    break
+                rec = None
+            if self._is_fingerprint(rec):
+                self._fingerprint = rec["config"]
+            elif self._is_cell(rec):
                 self._records[rec["key"]] = rec["payload"]
+            else:
+                raise ValueError(
+                    f"checkpoint ledger {self.ledger}, line {number}: not a "
+                    "well-formed fingerprint or cell record"
+                )
+
+    @staticmethod
+    def _is_fingerprint(rec) -> bool:
+        return (
+            isinstance(rec, dict)
+            and rec.keys() == {"kind", "config"}
+            and rec["kind"] == "fingerprint"
+            and (rec["config"] is None or isinstance(rec["config"], dict))
+        )
+
+    def _is_cell(self, rec) -> bool:
+        """A cell record under a new key whose blob, if any, is its own."""
+        if not (
+            isinstance(rec, dict)
+            and rec.keys() == {"kind", "key", "payload"}
+            and rec["kind"] == "cell"
+            and isinstance(rec["key"], str)
+            and isinstance(rec["payload"], dict)
+        ):
+            return False
+        key = rec["key"]
+        blob = rec["payload"].get("__arrays__", self._blob_name(key))
+        return key not in self._records and blob == self._blob_name(key)
 
     # -- lifecycle -----------------------------------------------------
     def begin(self, fingerprint: dict, *, resume: bool) -> None:

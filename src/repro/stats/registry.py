@@ -3,8 +3,8 @@
 ``paper_statistics()`` returns the exact column family of Table 4 —
 S_NE, S_AD, S_MD, S_DV, S_PL, S_APD, S_DiamLB, S_EDiam, S_CL, S_CC —
 as ``Graph → float`` callables, with the distance-based entries sharing
-one histogram computation per graph via a tiny per-graph cache (five
-distance statistics would otherwise re-run BFS/ANF five times per
+one histogram computation per graph via a tiny per-graph cache (the
+four distance statistics would otherwise re-run BFS/ANF four times per
 sampled world).
 
 The ``distance_backend`` choice mirrors the paper's §6.3 discussion:
@@ -18,6 +18,7 @@ The ``distance_backend`` choice mirrors the paper's §6.3 discussion:
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 
 from repro.graphs.graph import Graph
@@ -53,70 +54,91 @@ PAPER_STATISTIC_NAMES = (
 )
 
 
+#: The distance-histogram backends, in the order of the module docstring.
+DISTANCE_BACKENDS = ("exact", "sampled", "anf")
+
+
 class StatisticFamily(dict):
     """A statistics mapping that remembers how it was configured.
 
-    ``paper_statistics`` returns this instead of a plain dict so that
-    alternative evaluation engines (the batched world estimator) can
-    recognise the registry family, adopt the exact configuration its
-    closures embed, and refuse silently-divergent overrides.  For any
-    other mapping the engines must treat every entry as an opaque
-    ``Graph → float`` callable.
+    ``paper_statistics`` returns this instead of a plain dict.  Its
+    ``(distance_backend, sample_size, seed)`` is the whole configuration
+    of the Table-4 family: the batched world engine
+    (:class:`repro.worlds.estimator.BatchStatisticsEngine`) reads it to
+    run its kernels exactly as the family's closures compute, and
+    rebuilds the family from it in worker processes.  For any other
+    mapping the engine treats every entry as an opaque ``Graph → float``
+    callable.
     """
 
     def __init__(
-        self,
-        entries,
-        *,
-        distance_backend: str,
-        sample_size: int | None,
-        seed,
-        powerlaw_d_min: int | None,
+        self, entries, *, distance_backend: str, sample_size: int | None, seed
     ):
         super().__init__(entries)
         self.distance_backend = distance_backend
         self.sample_size = sample_size
         self.seed = seed
-        self.powerlaw_d_min = powerlaw_d_min
+
+
+def _check_backend(backend: str) -> None:
+    if backend not in DISTANCE_BACKENDS:
+        raise ValueError(
+            f"unknown distance backend {backend!r}; use exact/sampled/anf"
+        )
+
+
+def backend_histogram(
+    graph: Graph, backend: str, *, sample_size: int | None = None, seed=0
+) -> DistanceHistogram:
+    """The distance histogram of ``graph`` under one of :data:`DISTANCE_BACKENDS`.
+
+    ``"sampled"`` runs BFS from ``sample_size`` sources (default
+    ``min(n, 256)``); ``"anf"`` runs HyperANF with ``b = 6``.  ``seed``
+    drives both and is ignored by ``"exact"``.
+    """
+    _check_backend(backend)
+    if backend == "exact":
+        return distance_histogram(graph)
+    if backend == "sampled":
+        size = sample_size or min(graph.num_vertices, 256)
+        return distance_histogram(graph, sample_size=size, seed=seed)
+    # imported lazily: repro.anf depends on repro.stats.distance, so a
+    # module-level import here would close a package cycle
+    from repro.anf.distance_stats import anf_distance_histogram
+
+    return anf_distance_histogram(graph, seed=seed)
 
 
 class _HistogramCache:
     """Share one distance histogram among the distance statistics.
 
-    Keyed on graph identity — each sampled world is a fresh object, so
-    a single-slot cache is exactly right for the world-sampling loop.
+    A single slot keyed on the graph's two read-only CSR arrays, held by
+    weak reference.  A graph's content is a function of those arrays,
+    and a dead reference matches nothing, so a graph built where a freed
+    world used to live never receives that world's histogram; the slot
+    does not keep a world alive either.
     """
 
     def __init__(self, backend: str, sample_size: int | None, seed):
         self._backend = backend
         self._sample_size = sample_size
         self._seed = seed
-        self._key: int | None = None
+        self._refs: tuple[weakref.ref, weakref.ref] | None = None
         self._hist: DistanceHistogram | None = None
 
     def get(self, graph: Graph) -> DistanceHistogram:
-        """Histogram for ``graph``, computed once per graph object."""
-        key = id(graph)
-        if key != self._key or self._hist is None:
-            self._hist = self._compute(graph)
-            self._key = key
+        """Histogram for ``graph``, computed once per graph."""
+        refs = self._refs
+        if (
+            refs is None
+            or refs[0]() is not graph.indptr
+            or refs[1]() is not graph.indices
+        ):
+            self._hist = backend_histogram(
+                graph, self._backend, sample_size=self._sample_size, seed=self._seed
+            )
+            self._refs = (weakref.ref(graph.indptr), weakref.ref(graph.indices))
         return self._hist
-
-    def _compute(self, graph: Graph) -> DistanceHistogram:
-        if self._backend == "exact":
-            return distance_histogram(graph)
-        if self._backend == "sampled":
-            size = self._sample_size or min(graph.num_vertices, 256)
-            return distance_histogram(graph, sample_size=size, seed=self._seed)
-        if self._backend == "anf":
-            # imported lazily: repro.anf depends on repro.stats.distance,
-            # so a module-level import here would close a package cycle
-            from repro.anf.distance_stats import anf_distance_histogram
-
-            return anf_distance_histogram(graph, seed=self._seed)
-        raise ValueError(
-            f"unknown distance backend {self._backend!r}; use exact/sampled/anf"
-        )
 
 
 def paper_statistics(
@@ -124,29 +146,30 @@ def paper_statistics(
     distance_backend: str = "anf",
     sample_size: int | None = None,
     seed=0,
-    powerlaw_d_min: int | None = None,
-) -> dict[str, Callable[[Graph], float]]:
+) -> StatisticFamily:
     """Build the Table-4 statistic family.
 
     Parameters
     ----------
     distance_backend:
-        ``"exact"``, ``"sampled"`` or ``"anf"`` (see module docstring).
+        ``"exact"``, ``"sampled"`` or ``"anf"`` (see module docstring);
+        anything else raises ``ValueError``.
     sample_size:
         Source count for the ``"sampled"`` backend.
     seed:
         Seed for sampled/ANF backends (kept fixed across worlds so that
         world-to-world variation reflects the uncertain graph, not the
         estimator).
-    powerlaw_d_min:
-        Tail cut for the S_PL fit (default: per-graph average degree).
 
     Returns
     -------
     StatisticFamily
         Statistic name → callable, in Table-4 column order, tagged with
         the configuration so batched engines can reproduce it exactly.
+        S_PL fits the tail from ``max(2, round(S_AD))`` and HyperANF
+        uses ``b = 6``.
     """
+    _check_backend(distance_backend)
     cache = _HistogramCache(distance_backend, sample_size, seed)
 
     return StatisticFamily(
@@ -155,7 +178,7 @@ def paper_statistics(
             "S_AD": average_degree,
             "S_MD": max_degree,
             "S_DV": degree_variance,
-            "S_PL": lambda g: powerlaw_exponent(g, d_min=powerlaw_d_min),
+            "S_PL": powerlaw_exponent,
             "S_APD": lambda g: average_distance(cache.get(g)),
             "S_DiamLB": lambda g: diameter(cache.get(g)),
             "S_EDiam": lambda g: effective_diameter(cache.get(g)),
@@ -165,7 +188,6 @@ def paper_statistics(
         distance_backend=distance_backend,
         sample_size=sample_size,
         seed=seed,
-        powerlaw_d_min=powerlaw_d_min,
     )
 
 

@@ -22,12 +22,14 @@ Four layers, each consuming the previous one's flat-array output::
                     repro.graphs.triangles enumerates a 64-world lane
                     slice's union once (or each world alone, when the
                     union has more wedges than the worlds together).
-    anf_batch.py    multi-world HyperANF — registers stacked into a
-                    (W·n, 2^b) uint8 matrix, merged per step by a
-                    degree-grouped segmented max over a change frontier,
-                    per-world fixed-point convergence; yields the four
-                    distance statistics.
-    estimator.py    BatchStatisticsEngine — name-based kernel dispatch
+    anf_batch.py    multi-world HyperANF — the one kernel of
+                    repro.anf.hyperanf run on the union CSR: registers
+                    stacked into a (W·n, 2^b) uint8 matrix, merged per
+                    step by a degree-grouped segmented max over a change
+                    frontier, per-world fixed-point convergence; yields
+                    the four distance statistics.
+    estimator.py    BatchStatisticsEngine — name-based kernel dispatch,
+                    configured only by the statistic family it is given,
                     turning any WorldBatch into per-world statistic
                     vectors, with the ANF names and the structural names
                     planned into world chunks by separate rules — and

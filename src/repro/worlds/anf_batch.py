@@ -4,27 +4,17 @@ HyperANF's union step is an elementwise register max along edges —
 worlds never interact, so ``W`` runs stack into a single
 ``(W·n, 2^b)`` uint8 register matrix diffused over the batch's
 disjoint-union CSR (the world-offset layout of
-:meth:`repro.worlds.batch.WorldBatch.csr`).  The merge is a segmented
-max executed *degree-grouped*: vertices are bucketed by neighbour
-count, each bucket's gathered neighbour rows reshape to
-``(rows, d, 2^b)`` and reduce with one ``max(axis=1)`` — a handful of
-long SIMD reductions per step instead of one ufunc dispatch per vertex
-(``np.ufunc.at``/``reduceat`` are an order of magnitude slower here).
-Per-row cardinality estimates are cached and recomputed only for rows
-whose registers changed, which is what makes the per-step ``N(t)``
-bookkeeping cheap late in the diffusion.
+:meth:`repro.worlds.batch.WorldBatch.csr`).  The diffusion is the one
+HyperANF kernel, :func:`repro.anf.hyperanf.hyperanf_stacked`, which
+:func:`repro.anf.hyperanf.hyperanf` runs at ``W = 1``: every world
+starts from the same ``(b, seed)`` registers, so per-world outputs are
+identical to ``W`` single-graph runs (§6.3 protocol: estimator noise is
+held constant so world-to-world variation reflects the uncertain
+graph), which the tests pin against the edge-wise oracle.
 
-Convergence is a per-world fixed point: a world whose registers stop
-changing is frozen (its blocks drop out of the gather) while the others
-keep diffusing.
-
-Register initialisation reuses :func:`repro.anf.hyperloglog.init_registers`
-with the same ``(b, seed)`` for every world — exactly what the
-sequential path does when it reruns :func:`repro.anf.hyperanf.hyperanf`
-per sampled world with a fixed estimator seed (§6.3 protocol: estimator
-noise is held constant so world-to-world variation reflects the
-uncertain graph).  Per-world outputs are therefore identical to ``W``
-sequential runs, which the equivalence tests pin.
+This module adds what is batch-specific: the ``anf.worlds`` and
+``anf.iterations`` telemetry, and the four distance statistics derived
+from each world's neighbourhood function.
 """
 
 from __future__ import annotations
@@ -32,9 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.anf.distance_stats import neighbourhood_function_to_histogram
-from repro.anf.hyperanf import NeighbourhoodFunction
-from repro.anf.hyperloglog import estimate_many, init_registers
-from repro.graphs.traversal import multi_range
+from repro.anf.hyperanf import NeighbourhoodFunction, hyperanf_stacked
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.stats.distance import (
     average_distance,
@@ -48,52 +36,6 @@ from repro.worlds.batch import WorldBatch
 # iterations-to-fixpoint distribution (converged_at per world).
 _ANF_WORLDS = _OBS.counter("anf.worlds")
 _ANF_ITERATIONS = _OBS.histogram("anf.iterations")
-
-
-class _UnionPlan:
-    """Degree-grouped gather plan for the active worlds' CSR blocks.
-
-    Attributes
-    ----------
-    rows:
-        Flattened vertex ids with ≥1 neighbour, sorted by degree.
-    sub_indices:
-        Their neighbour lists concatenated in the same order.
-    groups:
-        ``(degree, row_lo, row_hi, elem_lo, elem_hi)`` per distinct
-        degree — ``sub_indices[elem_lo:elem_hi]`` reshapes to
-        ``(row_hi − row_lo, degree)`` blocks.
-    """
-
-    __slots__ = ("rows", "sub_indices", "groups")
-
-    def __init__(self, indptr, indices, degs, row_mask):
-        rows = np.nonzero(row_mask)[0]
-        sub_degs = degs[rows]
-        nonempty = sub_degs > 0
-        rows, sub_degs = rows[nonempty], sub_degs[nonempty]
-        order = np.argsort(sub_degs, kind="stable")
-        self.rows = rows[order]
-        sub_degs = sub_degs[order]
-        if len(self.rows) == 0:
-            self.sub_indices = np.empty(0, dtype=indices.dtype)
-            self.groups = []
-            return
-        self.sub_indices = indices[multi_range(indptr[self.rows], sub_degs)]
-        bounds = np.concatenate(
-            [[0], np.nonzero(np.diff(sub_degs))[0] + 1, [len(sub_degs)]]
-        )
-        elem_offsets = np.cumsum(sub_degs) - sub_degs
-        self.groups = [
-            (
-                int(sub_degs[lo]),
-                int(lo),
-                int(hi),
-                int(elem_offsets[lo]),
-                int(elem_offsets[lo]) + int(sub_degs[lo]) * (int(hi) - int(lo)),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
 
 
 def hyperanf_batch(
@@ -117,79 +59,13 @@ def hyperanf_batch(
     list[NeighbourhoodFunction]
         Per-world neighbourhood functions, index-aligned with the batch.
     """
-    n, W = batch.num_vertices, batch.num_worlds
-    if n == 0:
-        return [
-            NeighbourhoodFunction(values=np.zeros(1), converged_at=0)
-            for _ in range(W)
-        ]
+    W = batch.num_worlds
     if W == 0:
         return []
-    if max_steps is None:
-        max_steps = n
-
-    base = init_registers(n, b=b, seed=seed)
-    regs = np.tile(base, (W, 1))
-    m = regs.shape[1]
-    indptr, indices = batch.csr()
-    degs = np.diff(indptr)
-    row_world = np.repeat(np.arange(W), n)
-
-    # cached per-row estimates, kept exact; every world starts from the
-    # same n rows, so estimating the base once and tiling is identical
-    # to (and W times cheaper than) estimating the full stack
-    row_est = np.tile(estimate_many(base), W)
-    est0 = row_est.reshape(W, n).sum(axis=1)
-    values: list[list[float]] = [[float(est0[w])] for w in range(W)]
-    converged_at = np.full(W, max_steps, dtype=np.int64)
-    active = np.ones(W, dtype=bool)
-
-    # Frontier invariant: a row's merge result can only change at step t
-    # if one of its neighbours changed at step t−1, so each step only
-    # recomputes the previous step's change-neighbourhood (all rows at
-    # step 1).  The gather snapshots pre-step registers, making the
-    # in-place group updates synchronous — identical to the sequential
-    # copy-and-merge.
-    frontier = active[row_world]
-    for step in range(1, max_steps + 1):
-        plan = _UnionPlan(indptr, indices, degs, frontier)
-        changed_chunks = []
-        gathered = regs[plan.sub_indices]
-        for d, r_lo, r_hi, e_lo, e_hi in plan.groups:
-            rows_d = plan.rows[r_lo:r_hi]
-            old = regs[rows_d]
-            seg = gathered[e_lo:e_hi].reshape(r_hi - r_lo, d, m).max(axis=1)
-            grew = (seg > old).any(axis=1)
-            if grew.any():
-                rows_g = rows_d[grew]
-                regs[rows_g] = np.maximum(old[grew], seg[grew])
-                changed_chunks.append(rows_g)
-        changed = np.zeros(W, dtype=bool)
-        if changed_chunks:
-            changed_rows = np.concatenate(changed_chunks)
-            changed[row_world[changed_rows]] = True
-            row_est[changed_rows] = estimate_many(regs[changed_rows])
-        newly_frozen = active & ~changed
-        converged_at[newly_frozen] = step - 1
-        active &= changed
-        if not active.any():
-            break
-        live = np.nonzero(active)[0]
-        est = row_est.reshape(W, n)[live].sum(axis=1)
-        for i, w in enumerate(live):
-            values[w].append(float(est[i]))
-        with_nbrs = changed_rows[degs[changed_rows] > 0]
-        frontier = np.zeros(W * n, dtype=bool)
-        if len(with_nbrs):
-            frontier[indices[multi_range(indptr[with_nbrs], degs[with_nbrs])]] = True
-        frontier &= active[row_world]
-
+    nfs = hyperanf_stacked(*batch.csr(), W, b=b, seed=seed, max_steps=max_steps)
     _ANF_WORLDS.add(W)
-    _ANF_ITERATIONS.observe_many(converged_at)
-    return [
-        NeighbourhoodFunction(values=np.asarray(values[w]), converged_at=int(converged_at[w]))
-        for w in range(W)
-    ]
+    _ANF_ITERATIONS.observe_many([nf.converged_at for nf in nfs])
+    return nfs
 
 
 #: The four scalar Table-4 distance statistics derived from one histogram.

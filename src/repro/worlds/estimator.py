@@ -17,19 +17,19 @@ worlds (Equation 9).  Two layers live here:
   :class:`~repro.uncertain.sampling.WorldSampler` with the same seed
   (pinned at ≤1e-9 against the sequential oracle in the tests).
 
-Dispatch: when the statistics mapping is the registry's
-:class:`~repro.stats.registry.StatisticFamily` (or ``None``, which
-builds one), the ten paper statistics (S_NE … S_CC) are produced by
-the batched kernels under the *family's own configuration* —
-explicitly passed options must agree or construction fails, so the
-kernels can never silently diverge from the family's callables.  Any
+Dispatch: the statistics mapping's type is the only configuration.  A
+:class:`~repro.stats.registry.StatisticFamily` (or ``None``, the
+default :func:`~repro.stats.registry.paper_statistics` family) carries
+its ``(distance_backend, sample_size, seed)``; the engine runs the
+degree family and S_CC on the batched kernels, and the four distance
+statistics on the stacked multi-world HyperANF when the backend is
+``"anf"``.  On ``"exact"``/``"sampled"`` the distance names run the
+family's own callables, one materialised world at a time, and share
+one BFS histogram per world through the family's histogram cache.  Any
 other mapping (and any non-paper name inside a family) is treated as
 opaque ``Graph → float`` callables, evaluated on one lazily
 materialised world at a time (bulk CSR construction, no per-edge
-Python).  Distance statistics honour the registry's three backends —
-``"anf"`` runs the stacked multi-world diffusion, ``"exact"``/
-``"sampled"`` share one BFS histogram per materialised world, exactly
-like the registry's ``_HistogramCache``.
+Python).
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ from repro.exec.plan import SAMPLE_CHUNK_DEFAULT, ChunkPlan
 from repro.graphs.graph import Graph
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
-from repro.stats.distance import (
-    average_distance,
-    connectivity_length,
-    diameter,
-    distance_histogram,
-    effective_diameter,
-)
 from repro.stats.registry import StatisticFamily, paper_statistics
 from repro.stats.sampling import SampleSummary
 from repro.uncertain.graph import UncertainGraph
@@ -73,8 +66,6 @@ BATCHED_STATISTIC_NAMES = frozenset(
     DEGREE_STATISTIC_NAMES + DISTANCE_STATISTIC_NAMES + ("S_CC",)
 )
 
-_UNSET = object()
-
 # Chunking telemetry (repro.obs): how the engine actually sliced its
 # work — auto chunk sizes chosen, worlds evaluated per slice, streamed
 # release batches consumed.
@@ -90,87 +81,33 @@ class BatchStatisticsEngine:
     Parameters
     ----------
     statistics:
-        ``None`` (build the full Table-4 family from the options below),
-        a :class:`~repro.stats.registry.StatisticFamily` (paper-family
-        names run on the batched kernels with the family's exact
-        configuration), or any other mapping of name → ``Graph → float``
-        callable (every entry evaluated per materialised world — no
-        kernel substitution, so custom callables are always honoured).
-    distance_backend, sample_size, distance_seed:
-        Distance-histogram backend configuration, mirroring
-        :func:`repro.stats.registry.paper_statistics` (``seed`` there).
-        When a ``StatisticFamily`` is supplied these default to *its*
-        configuration, and explicitly passed values must agree with it
-        (a mismatch would silently change what the statistics mean).
-    powerlaw_d_min:
-        Tail cut for the S_PL fit (same agreement rule).
-    anf_b:
-        HyperLogLog register bits for the ``"anf"`` backend; the
-        registry family is pinned to the HyperANF default of 6.
+        ``None`` (the default :func:`~repro.stats.registry.paper_statistics`
+        family), a :class:`~repro.stats.registry.StatisticFamily` (its
+        configuration is the engine's: the paper names run on the
+        batched kernels, or on the family's own callables where no
+        kernel serves its distance backend), or any other mapping of
+        name → ``Graph → float`` callable (every entry evaluated per
+        materialised world — no kernel substitution, so custom callables
+        are always honoured).
     """
 
     def __init__(
-        self,
-        statistics: Mapping[str, Callable[[Graph], float]] | None = None,
-        *,
-        distance_backend=_UNSET,
-        sample_size=_UNSET,
-        distance_seed=_UNSET,
-        anf_b=_UNSET,
-        powerlaw_d_min=_UNSET,
+        self, statistics: Mapping[str, Callable[[Graph], float]] | None = None
     ):
-        family = statistics if isinstance(statistics, StatisticFamily) else None
-
-        def resolve(name: str, explicit, family_value, default):
-            if explicit is _UNSET:
-                return family_value if family is not None else default
-            if family is not None and explicit != family_value:
-                raise ValueError(
-                    f"{name}={explicit!r} conflicts with the supplied "
-                    f"statistics family ({name}={family_value!r}); the "
-                    "batched kernels would silently diverge from the "
-                    "family's callables"
-                )
-            return explicit
-
-        if family is not None:
-            self._backend = resolve(
-                "distance_backend", distance_backend, family.distance_backend, None
-            )
-            self._sample_size = resolve(
-                "sample_size", sample_size, family.sample_size, None
-            )
-            self._distance_seed = resolve(
-                "distance_seed", distance_seed, family.seed, None
-            )
-            self._powerlaw_d_min = resolve(
-                "powerlaw_d_min", powerlaw_d_min, family.powerlaw_d_min, None
-            )
-            self._anf_b = resolve("anf_b", anf_b, 6, 6)
-        else:
-            self._backend = resolve("distance_backend", distance_backend, None, "anf")
-            self._sample_size = resolve("sample_size", sample_size, None, None)
-            self._distance_seed = resolve("distance_seed", distance_seed, None, 0)
-            self._powerlaw_d_min = resolve(
-                "powerlaw_d_min", powerlaw_d_min, None, None
-            )
-            self._anf_b = resolve("anf_b", anf_b, None, 6)
-        if self._backend not in ("exact", "sampled", "anf"):
-            raise ValueError(
-                f"unknown distance backend {self._backend!r}; "
-                "use exact/sampled/anf"
-            )
         if statistics is None:
-            statistics = paper_statistics(
-                distance_backend=self._backend,
-                sample_size=self._sample_size,
-                seed=self._distance_seed,
-                powerlaw_d_min=self._powerlaw_d_min,
-            )
-            family = statistics
+            statistics = paper_statistics()
+        family = statistics if isinstance(statistics, StatisticFamily) else None
+        self._family = family
         # Plain mappings get no kernel substitution: whatever callables
         # the caller bound — even under paper-family names — run as-is.
-        self._use_kernels = family is not None
+        if family is None:
+            self._kernel_names = frozenset()
+        elif family.distance_backend == "anf":
+            self._kernel_names = BATCHED_STATISTIC_NAMES
+        else:
+            self._kernel_names = BATCHED_STATISTIC_NAMES - set(
+                DISTANCE_STATISTIC_NAMES
+            )
         self._statistics = dict(statistics)
 
     @property
@@ -186,17 +123,16 @@ class BatchStatisticsEngine:
         Distance names that run on the stacked ANF kernel keep slices
         small enough for the ``(W·n, 2^b)`` register stack to stay
         cache-resident (one world per slice once ``n`` passes 16,384).
-        Every other name — the degree family, S_CC, the BFS backends and
-        opaque callables — is planned by the unpacked keep-matrix bound,
-        so the triangle kernel sees whole lane slices.  The structural
-        group comes first.  An explicit ``chunk_size`` applies to both.
+        Every other name — the degree family, S_CC, the family's BFS
+        distance callables and opaque callables — is planned by the
+        unpacked keep-matrix bound, so the triangle kernel sees whole
+        lane slices.  The structural group comes first.  An explicit
+        ``chunk_size`` applies to both.
         """
         anf = [
             name
             for name in names
-            if self._use_kernels
-            and self._backend == "anf"
-            and name in DISTANCE_STATISTIC_NAMES
+            if name in self._kernel_names and name in DISTANCE_STATISTIC_NAMES
         ]
         structural = [name for name in names if name not in anf]
         return [
@@ -207,7 +143,6 @@ class BatchStatisticsEngine:
                     num_vertices=batch.num_vertices,
                     num_candidate_pairs=batch.num_candidate_pairs,
                     anf=group is anf,
-                    anf_b=self._anf_b,
                     chunk_size=chunk_size,
                 ),
             )
@@ -216,44 +151,36 @@ class BatchStatisticsEngine:
         ]
 
     def spec(self) -> tuple:
-        """Picklable resolved configuration (worker-side reconstruction).
+        """The family's ``(distance_backend, sample_size, seed)``.
 
         Valid whenever the engine runs the registry family
         (``statistics=None`` or a :class:`StatisticFamily`): a worker
         rebuilding via :meth:`from_spec` gets callables and kernels
         computing exactly what this engine's do.
         """
-        return (
-            self._backend,
-            self._sample_size,
-            self._distance_seed,
-            self._anf_b,
-            self._powerlaw_d_min,
-        )
+        family = self._family
+        return (family.distance_backend, family.sample_size, family.seed)
 
     @classmethod
     def from_spec(cls, spec: tuple) -> "BatchStatisticsEngine":
-        backend, sample_size, distance_seed, anf_b, powerlaw_d_min = spec
+        backend, sample_size, seed = spec
         return cls(
-            None,
-            distance_backend=backend,
-            sample_size=sample_size,
-            distance_seed=distance_seed,
-            anf_b=anf_b,
-            powerlaw_d_min=powerlaw_d_min,
+            paper_statistics(
+                distance_backend=backend, sample_size=sample_size, seed=seed
+            )
         )
 
     def _shardable(self, names) -> bool:
         """Can a worker reproduce this evaluation from :meth:`spec`?
 
-        Requires the kernel path (a registry family) and only
-        kernel-served names — opaque ``Graph → float`` callables are
-        not reconstructible from a config tuple, so batches carrying
-        them evaluate in the parent instead (correct, just serial).
+        Requires a registry family with a plain seed and only its own
+        paper names — opaque ``Graph → float`` callables are not
+        reconstructible from a config tuple, so batches carrying them
+        evaluate in the parent instead (correct, just serial).
         """
         return (
-            self._use_kernels
-            and not isinstance(self._distance_seed, np.random.Generator)
+            self._family is not None
+            and not isinstance(self._family.seed, np.random.Generator)
             and all(name in BATCHED_STATISTIC_NAMES for name in names)
         )
 
@@ -392,21 +319,17 @@ class BatchStatisticsEngine:
         self, batch: WorldBatch, names: list[str]
     ) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        kernel_names = BATCHED_STATISTIC_NAMES if self._use_kernels else frozenset()
+        kernel_names = self._kernel_names
         degree_names = [n for n in names if n in kernel_names and n in DEGREE_STATISTIC_NAMES]
         distance_names = [n for n in names if n in kernel_names and n in DISTANCE_STATISTIC_NAMES]
         fallback_names = [n for n in names if n not in kernel_names]
-        want_cc = "S_CC" in names and self._use_kernels
+        want_cc = "S_CC" in names and "S_CC" in kernel_names
 
         degrees = (
             degree_matrix(batch) if degree_names or want_cc else None
         )
         if degree_names:
-            out.update(
-                degree_statistics_batch(
-                    batch, degrees=degrees, powerlaw_d_min=self._powerlaw_d_min
-                )
-            )
+            out.update(degree_statistics_batch(batch, degrees=degrees))
         if want_cc:
             out["S_CC"] = clustering_coefficients_batch(
                 batch,
@@ -414,14 +337,7 @@ class BatchStatisticsEngine:
                 triangles=triangle_counts_batch(batch),
             )
         if distance_names:
-            if self._backend == "anf":
-                out.update(
-                    anf_distance_statistics_batch(
-                        batch, b=self._anf_b, seed=self._distance_seed
-                    )
-                )
-            else:
-                out.update(self._bfs_distance_statistics(batch))
+            out.update(anf_distance_statistics_batch(batch, seed=self._family.seed))
 
         if fallback_names:
             # One world at a time: every callable measures world w before
@@ -432,33 +348,6 @@ class BatchStatisticsEngine:
                 for name in fallback_names:
                     out[name][w] = float(self._statistics[name](graph))
         return {name: out[name] for name in names}
-
-    def _bfs_distance_statistics(self, batch: WorldBatch) -> dict[str, np.ndarray]:
-        """The exact/sampled backends: one shared histogram per world.
-
-        Mirrors the sequential registry's ``_HistogramCache`` — a fresh
-        BFS histogram per world, reused by all four distance statistics,
-        with the sampled backend re-seeding identically per world so the
-        source subset (the estimator noise) is held fixed across worlds.
-        """
-        W = batch.num_worlds
-        out = {
-            name: np.empty(W, dtype=np.float64) for name in DISTANCE_STATISTIC_NAMES
-        }
-        for w in range(W):
-            graph = batch.world_graph(w)
-            if self._backend == "exact":
-                hist = distance_histogram(graph)
-            else:
-                size = self._sample_size or min(graph.num_vertices, 256)
-                hist = distance_histogram(
-                    graph, sample_size=size, seed=self._distance_seed
-                )
-            out["S_APD"][w] = average_distance(hist)
-            out["S_DiamLB"][w] = diameter(hist)
-            out["S_EDiam"][w] = effective_diameter(hist)
-            out["S_CL"][w] = connectivity_length(hist)
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +400,6 @@ class WorldStatisticsEstimator:
         The published uncertain graph.
     statistics:
         As for :class:`BatchStatisticsEngine`.
-    distance_backend, sample_size, distance_seed, anf_b, powerlaw_d_min:
-        Engine configuration (see :class:`BatchStatisticsEngine`).
     chunk_size:
         Worlds sampled and evaluated per pass — the memory bound.  The
         RNG stream is consumed identically for every chunking, so
@@ -542,11 +429,10 @@ class WorldStatisticsEstimator:
         *,
         chunk_size: int = SAMPLE_CHUNK_DEFAULT,
         executor=None,
-        **engine_options,
     ):
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._engine = BatchStatisticsEngine(statistics, **engine_options)
+        self._engine = BatchStatisticsEngine(statistics)
         self._uncertain = uncertain
         self._statistics = self._engine.statistics
         self._chunk_size = chunk_size

@@ -61,7 +61,6 @@ def degree_statistics_batch(
     batch: WorldBatch,
     *,
     degrees: np.ndarray | None = None,
-    powerlaw_d_min: int | None = None,
 ) -> dict[str, np.ndarray]:
     """S_NE, S_AD, S_MD, S_DV and S_PL for every world.
 
@@ -72,9 +71,6 @@ def degree_statistics_batch(
     degrees:
         Optional precomputed :func:`degree_matrix` (shared with the
         clustering kernel by the estimator).
-    powerlaw_d_min:
-        Tail cut for the S_PL fit, as in
-        :func:`repro.stats.degree.powerlaw_exponent`.
 
     Returns
     -------
@@ -100,7 +96,7 @@ def degree_statistics_batch(
     for w in range(W):
         dist = np.bincount(degrees[w]) / n
         pl[w] = powerlaw_exponent_from_distribution(
-            dist, average_degree=float(out["S_AD"][w]), d_min=powerlaw_d_min
+            dist, average_degree=float(out["S_AD"][w])
         )
     out["S_PL"] = pl
     return out

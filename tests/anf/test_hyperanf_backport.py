@@ -1,12 +1,14 @@
-"""Degree-grouped frontier HyperANF vs the edge-wise ground truth (PR 4).
+"""Single-graph HyperANF vs the edge-wise ground truth.
 
-The multi-world kernel of :mod:`repro.worlds.anf_batch` backported to
-the single-graph :func:`repro.anf.hyperanf` must reproduce the original
-``np.maximum.at`` sweep exactly: registers are merged with the same
-(uint8-exact) max, the change frontier can only shrink the work, never
-alter it, and cached per-row estimates are pure functions of row
-content — so every ``N(t)`` value and the convergence step match
-bit-for-bit.
+:func:`repro.anf.hyperanf` is the one stacked kernel,
+:func:`repro.anf.hyperanf.hyperanf_stacked`, run at ``W = 1`` on the
+graph's own CSR.  It must reproduce the original ``np.maximum.at``
+sweep of ``tests/oracles/anf.py`` exactly: registers are merged with
+the same (uint8-exact) max, the change frontier can only shrink the
+work, never alter it, and cached per-row estimates are pure functions
+of row content — so every ``N(t)`` value and the convergence step match
+bit-for-bit.  ``tests/worlds/test_anf_batch.py`` pins the same kernel
+at ``W > 1``.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.graphs.generators import barabasi_albert
+from repro.stats.registry import paper_statistics
 from repro.worlds.batch import WorldBatch
 from repro.worlds.estimator import BatchStatisticsEngine, WorldStatisticsEstimator
 from repro.worlds.releases import stream_releases
@@ -35,21 +36,19 @@ def uncertain():
 class TestWorldStatistics:
     def test_estimator_run(self, uncertain):
         def build(executor):
-            estimator = WorldStatisticsEstimator(
-                uncertain, distance_seed=0, executor=executor
-            )
+            estimator = WorldStatisticsEstimator(uncertain, executor=executor)
             return estimator.run(worlds=16, seed=5)
 
         summaries = assert_seed_equivalent(build, summaries_equal)
         assert all(len(s.values) == 16 for s in summaries.values())
 
     def test_estimator_run_exact_distance_backend(self, uncertain):
-        # no ANF register stack: the keep-matrix chunk rule + BFS kernels
+        # no ANF register stack: the keep-matrix chunk rule + the family's
+        # BFS callables, rebuilt in each worker from the family's spec
         def build(executor):
             estimator = WorldStatisticsEstimator(
                 uncertain,
-                distance_backend="exact",
-                distance_seed=0,
+                paper_statistics(distance_backend="exact", seed=0),
                 executor=executor,
             )
             return estimator.run(worlds=8, seed=11)
@@ -61,16 +60,14 @@ class TestWorldStatistics:
         # n > 16,384: the ANF rule gives one world per task while the
         # degree family and S_CC share one task, listed first
         uncertain = random_uncertain(20_000, 400, seed=3, certain_fraction=0.5)
-        engine = WorldStatisticsEstimator(uncertain, distance_seed=0)._engine
+        engine = WorldStatisticsEstimator(uncertain)._engine
         batch = WorldBatch.sample(uncertain, 6, seed=0)
         plans = engine.plan(batch, list(engine.statistics))
         assert [len(chunks) for _, chunks in plans] == [1, 6]
         assert "S_CC" in plans[0][0]
 
         def build(executor):
-            estimator = WorldStatisticsEstimator(
-                uncertain, distance_seed=0, executor=executor
-            )
+            estimator = WorldStatisticsEstimator(uncertain, executor=executor)
             return estimator.run(worlds=6, seed=2)
 
         assert_seed_equivalent(build, summaries_equal)
@@ -81,7 +78,7 @@ class TestReleaseUnions:
         graph = barabasi_albert(80, 3, seed=1)
 
         def build(executor):
-            engine = BatchStatisticsEngine(distance_seed=0)
+            engine = BatchStatisticsEngine()
             batches = stream_releases(
                 graph, "perturbation", 0.05, 12, seed=3, chunk_size=4
             )

@@ -1,5 +1,7 @@
 """Tests for figure-data builders."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ def sweep(config):
 
 
 class TestFigure2:
+    def test_unknown_backend_rejected(self, sweep, config):
+        """The histogram dispatch refuses a backend it does not know
+        instead of running HyperANF in its place."""
+        bad = dataclasses.replace(config, distance_backend="teleport")
+        with pytest.raises(ValueError, match="unknown distance backend"):
+            figure2_data(sweep[0], bad, max_distance=10)
+
     def test_quartiles_ordered(self, sweep, config):
         series = figure2_data(sweep[0], config, max_distance=10)
         assert (series.minimum <= series.q1 + 1e-12).all()

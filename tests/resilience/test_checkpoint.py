@@ -1,9 +1,13 @@
 """CheckpointStore tests: atomicity, exactness, fingerprint discipline."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.resilience.checkpoint import CheckpointStore
 
@@ -98,3 +102,94 @@ class TestCrashModel:
             store.record(f"cell:{i}", {"i": i})
             for line in store.ledger.read_text().splitlines():
                 json.loads(line)  # never torn mid-run
+
+
+class TestMalformedLedger:
+    """Only a torn last line is forgiven; any other bad line is named."""
+
+    @staticmethod
+    def _ledger(tmp_path, *lines):
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.begin(FP, resume=False)
+        store.record("cell:a", {"x": 1}, arrays={"v": np.arange(3)})
+        store.record("cell:b", {"x": 2})
+        good = store.ledger.read_text().splitlines()
+        store.ledger.write_text("\n".join([*good, *lines]) + "\n")
+        return tmp_path / "ckpt"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "42",
+            "[1, 2]",
+            '"cell"',
+            "null",
+            '{"kind": "cell", "payload": {"x": 3}}',
+            '{"kind": "cell", "key": "cell:c", "payload": [1, 2]}',
+            '{"kind": "cell", "key": 7, "payload": {}}',
+            '{"kind": "cell", "key": "cell:a", "payload": {"x": 9}}',
+            '{"kind": "cell", "key": "cell:c", "payload": {"__arrays__": 5}}',
+            '{"kind": "fingerprint", "config": 3}',
+            '{"kind": "fingerprint", "confif": {}}',
+            '{"kind": "other"}',
+        ],
+    )
+    def test_malformed_record_raises(self, tmp_path, line):
+        directory = self._ledger(tmp_path, line)
+        with pytest.raises(ValueError, match="line 4"):
+            CheckpointStore(directory)
+
+    def test_unreadable_line_before_the_last_raises(self, tmp_path):
+        directory = self._ledger(tmp_path, '{"kind": "cell", "key"', "{}")
+        with pytest.raises(ValueError, match="line 4"):
+            CheckpointStore(directory)
+
+    def test_unreadable_fingerprint_is_not_skipped(self, tmp_path):
+        """A torn fingerprint mid-ledger would let --resume skip the
+        configuration check."""
+        directory = self._ledger(tmp_path)
+        ledger = directory / "cells.jsonl"
+        lines = ledger.read_text().splitlines()
+        ledger.write_text("\n".join([lines[0][:12], *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="line 1"):
+            CheckpointStore(directory)
+
+    @staticmethod
+    def _ledger_bytes() -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CheckpointStore(Path(tmp))
+            store.begin(FP, resume=False)
+            store.record("cell:a", {"sigma": 0.1 + 0.2, "n": 45}, arrays={"v": np.arange(4)})
+            store.record("cell:b", {"rows": [1.5, 2.5], "ok": True})
+            store.record("cell:c", {"x": None}, arrays={"w": np.ones(2)})
+            return store.ledger.read_bytes()
+
+    @staticmethod
+    def _load_or_reject(data: bytes) -> None:
+        """Load, restore every cell and resume, or raise ValueError."""
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "cells.jsonl").write_bytes(data)
+            try:
+                store = CheckpointStore(tmp)
+            except ValueError:
+                return
+            for key in store.completed_keys():
+                restored = store.restore(key)
+                assert restored is None or isinstance(restored[0], dict)
+            try:
+                store.begin(FP, resume=True)
+            except ValueError as exc:
+                assert "refusing --resume" in str(exc)
+
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_truncation(self, data):
+        raw = self._ledger_bytes()
+        self._load_or_reject(raw[: data.draw(st.integers(0, len(raw)))])
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_flipped_byte(self, data):
+        raw = bytearray(self._ledger_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        self._load_or_reject(bytes(raw))

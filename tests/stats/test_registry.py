@@ -42,9 +42,13 @@ class TestRegistry:
         )
 
     def test_unknown_backend_rejected(self, graph):
-        stats = paper_statistics(distance_backend="teleport")
         with pytest.raises(ValueError, match="unknown distance backend"):
-            stats["S_APD"](graph)
+            paper_statistics(distance_backend="teleport")
+
+    def test_powerlaw_d_min_rejected(self):
+        """The S_PL tail cut is fixed at max(2, round(S_AD)), not an option."""
+        with pytest.raises(TypeError):
+            paper_statistics(powerlaw_d_min=3)
 
     def test_histogram_cache_shared(self, graph):
         """Distance stats on the same graph object reuse one histogram."""

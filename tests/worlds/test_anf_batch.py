@@ -1,10 +1,9 @@
-"""Multi-world HyperANF vs per-world sequential runs (must be identical)."""
+"""Multi-world HyperANF vs per-world edge-wise runs (must be identical)."""
 
 import numpy as np
 import pytest
 
 from repro.anf.distance_stats import anf_distance_histogram
-from repro.anf.hyperanf import hyperanf
 from repro.stats.distance import (
     average_distance,
     connectivity_length,
@@ -14,6 +13,8 @@ from repro.stats.distance import (
 from repro.uncertain.graph import UncertainGraph
 from repro.worlds import WorldBatch, anf_distance_statistics_batch, hyperanf_batch
 from repro.worlds.anf_batch import DISTANCE_STATISTIC_NAMES
+
+from tests.oracles.anf import hyperanf_edgewise
 
 
 @pytest.fixture
@@ -26,14 +27,14 @@ class TestHyperanfBatch:
     def test_matches_per_world_runs(self, batch, seed):
         nfs = hyperanf_batch(batch, b=6, seed=seed)
         for w, g in enumerate(batch.graphs()):
-            ref = hyperanf(g, b=6, seed=seed)
+            ref = hyperanf_edgewise(g, b=6, seed=seed)
             assert nfs[w].converged_at == ref.converged_at, w
             np.testing.assert_array_equal(nfs[w].values, ref.values)
 
     def test_max_steps_cap(self, batch):
         nfs = hyperanf_batch(batch, max_steps=1)
         for w, g in enumerate(batch.graphs()):
-            ref = hyperanf(g, max_steps=1)
+            ref = hyperanf_edgewise(g, max_steps=1)
             assert nfs[w].converged_at == ref.converged_at
             np.testing.assert_array_equal(nfs[w].values, ref.values)
 
@@ -44,7 +45,7 @@ class TestHyperanfBatch:
         )
         batch = WorldBatch.sample(ug, 16, seed=2)
         nfs = hyperanf_batch(batch)
-        refs = [hyperanf(g) for g in batch.graphs()]
+        refs = [hyperanf_edgewise(g) for g in batch.graphs()]
         assert len({nf.converged_at for nf in nfs}) > 1  # genuinely mixed
         for nf, ref in zip(nfs, refs):
             assert nf.converged_at == ref.converged_at

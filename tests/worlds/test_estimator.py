@@ -13,7 +13,12 @@ import pytest
 from repro.graphs.graph import Graph
 from repro.stats.degree import num_edges
 from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
-from repro.worlds import BATCHED_STATISTIC_NAMES, WorldStatisticsEstimator
+from repro.worlds import (
+    BATCHED_STATISTIC_NAMES,
+    BatchStatisticsEngine,
+    WorldBatch,
+    WorldStatisticsEstimator,
+)
 
 from tests.oracles.worlds import world_statistics
 from tests.worlds.conftest import random_uncertain
@@ -23,11 +28,7 @@ def _run_pair(uncertain, *, distance_backend, worlds, seed, chunk_size=32):
     stats = paper_statistics(distance_backend=distance_backend, seed=seed)
     sequential = world_statistics(uncertain, stats, worlds=worlds, seed=seed)
     batched = WorldStatisticsEstimator(
-        uncertain,
-        stats,
-        distance_backend=distance_backend,
-        distance_seed=seed,
-        chunk_size=chunk_size,
+        uncertain, stats, chunk_size=chunk_size
     ).run(worlds=worlds, seed=seed)
     return sequential, batched
 
@@ -142,23 +143,50 @@ class TestBatchedEstimator:
             WorldStatisticsEstimator(denser_uncertain, chunk_size=0)
 
     def test_bad_backend_rejected(self, denser_uncertain):
-        with pytest.raises(ValueError):
+        """A backend reaches the estimator only through a family, and the
+        family refuses an unknown one when it is built."""
+        with pytest.raises(ValueError, match="unknown distance backend"):
             WorldStatisticsEstimator(
-                denser_uncertain, distance_backend="bogus"
+                denser_uncertain, paper_statistics(distance_backend="bogus")
             )
 
     def test_batched_names_cover_paper_family(self):
         assert BATCHED_STATISTIC_NAMES == frozenset(PAPER_STATISTIC_NAMES)
 
-    def test_family_option_conflict_rejected(self, denser_uncertain):
-        """Silently diverging from the family's configuration is an error."""
+    def test_engine_options_removed(self, denser_uncertain):
+        """The family is the only configuration: no engine keyword can
+        make the kernels diverge from the family's callables."""
         family = paper_statistics(distance_backend="anf", seed=0)
-        with pytest.raises(ValueError, match="conflicts"):
-            WorldStatisticsEstimator(
-                denser_uncertain, family, distance_backend="exact"
-            )
-        with pytest.raises(ValueError, match="conflicts"):
-            WorldStatisticsEstimator(denser_uncertain, family, distance_seed=1)
+        for option in (
+            "distance_backend", "sample_size", "distance_seed", "anf_b", "powerlaw_d_min"
+        ):
+            with pytest.raises(TypeError):
+                WorldStatisticsEstimator(denser_uncertain, family, **{option: 1})
+            with pytest.raises(TypeError):
+                BatchStatisticsEngine(family, **{option: 1})
+
+    @pytest.mark.parametrize("backend", ["exact", "sampled"])
+    def test_distance_callables_fresh_per_world(self, denser_uncertain, backend):
+        """One-world chunks free each world before the next is built, so
+        a new world may be allocated where the last one lived; the
+        family's histogram cache must not hand it the old histogram."""
+        family = paper_statistics(distance_backend=backend, sample_size=8, seed=3)
+        mapping = {"S_APD": family["S_APD"]}
+        sequential = world_statistics(
+            denser_uncertain,
+            paper_statistics(distance_backend=backend, sample_size=8, seed=3),
+            worlds=8,
+            seed=2,
+        )["S_APD"].values
+        assert len(set(sequential)) > 1
+        estimator = WorldStatisticsEstimator(denser_uncertain, mapping, chunk_size=1)
+        for _ in range(2):  # a second run reuses the mapping and its cache
+            values = estimator.run(worlds=8, seed=2)["S_APD"].values
+            np.testing.assert_allclose(values, sequential, atol=1e-12, rtol=0)
+        batch = WorldBatch.sample(denser_uncertain, 8, seed=2)
+        for engine in (BatchStatisticsEngine(mapping), BatchStatisticsEngine(family)):
+            values = engine.evaluate(batch, ["S_APD"], chunk_size=1)["S_APD"]
+            np.testing.assert_allclose(values, sequential, atol=1e-12, rtol=0)
 
     def test_family_config_adopted(self, denser_uncertain):
         """A sampled-backend family runs its own sample_size, no options needed."""
@@ -218,34 +246,26 @@ class TestAutoChunkBound:
         return WorldBatch.sample(ug, worlds, seed=0)
 
     def test_degree_only_does_not_pay_anf_bound(self):
-        from repro.worlds.estimator import BatchStatisticsEngine
-
-        engine = BatchStatisticsEngine(distance_backend="anf")
+        engine = BatchStatisticsEngine()
         batch = self._large_n_batch()
         assert self._eval_chunks(engine, batch, ["S_NE", "S_AD"]) == 1
 
     def test_sampled_backend_does_not_pay_anf_bound(self):
-        from repro.worlds.estimator import BatchStatisticsEngine
-
         engine = BatchStatisticsEngine(
-            distance_backend="sampled", sample_size=4
+            paper_statistics(distance_backend="sampled", sample_size=4)
         )
         batch = self._large_n_batch()
         assert self._eval_chunks(engine, batch, ["S_APD"]) == 1
 
     def test_anf_distance_still_pays_register_bound(self):
-        from repro.worlds.estimator import BatchStatisticsEngine
-
-        engine = BatchStatisticsEngine(distance_backend="anf")
+        engine = BatchStatisticsEngine()
         batch = self._large_n_batch()
         assert self._eval_chunks(engine, batch, ["S_APD"]) == batch.num_worlds
 
     def test_structural_names_span_the_anf_chunks(self):
         """The ANF rule gives one world per chunk here; the degree family
         and S_CC are still evaluated in one chunk of every world."""
-        from repro.worlds.estimator import BatchStatisticsEngine
-
-        engine = BatchStatisticsEngine(distance_backend="anf")
+        engine = BatchStatisticsEngine()
         batch = self._large_n_batch(worlds=4)
         names = list(engine.statistics)
         plan = [
@@ -259,9 +279,7 @@ class TestAutoChunkBound:
         assert self._eval_chunks(engine, batch, names) == 1 + batch.num_worlds
 
     def test_explicit_chunk_size_applies_to_every_group(self):
-        from repro.worlds.estimator import BatchStatisticsEngine
-
-        engine = BatchStatisticsEngine(distance_backend="anf")
+        engine = BatchStatisticsEngine()
         batch = self._large_n_batch(worlds=5)
         names = list(engine.statistics)
         plans = engine.plan(batch, names, chunk_size=2)
@@ -272,10 +290,8 @@ class TestAutoChunkBound:
             np.testing.assert_array_equal(auto[name], forced[name])
 
     def test_values_identical_across_the_bound_change(self):
-        from repro.worlds.estimator import BatchStatisticsEngine
-
         engine = BatchStatisticsEngine(
-            distance_backend="sampled", sample_size=4
+            paper_statistics(distance_backend="sampled", sample_size=4)
         )
         batch = self._large_n_batch(worlds=3)
         auto = engine.evaluate(batch, ["S_NE", "S_APD"])

@@ -69,10 +69,10 @@ class TestDegreeFamily:
                 out[name], expected, atol=1e-9, rtol=0, err_msg=name
             )
 
-    def test_powerlaw_d_min_forwarded(self, batch):
-        out = degree_statistics_batch(batch, powerlaw_d_min=3)
-        expected = [float(powerlaw_exponent(g, d_min=3)) for g in batch.graphs()]
-        np.testing.assert_allclose(out["S_PL"], expected, atol=1e-9, rtol=0)
+    def test_powerlaw_d_min_rejected(self, batch):
+        """The tail cut is fixed at the registry's default, not an option."""
+        with pytest.raises(TypeError):
+            degree_statistics_batch(batch, powerlaw_d_min=3)
 
     def test_no_edges(self):
         ug = UncertainGraph(5)
