@@ -61,10 +61,12 @@ def sample_addition_indices(rng, total_pairs: int, p_add: float) -> np.ndarray:
     while True:
         draws = rng.random(block)
         # gaps are capped at total_pairs: a longer skip terminates anyway,
-        # and the cap keeps the cumulative sum clear of int64 overflow
-        gaps = 1 + np.minimum(
-            np.floor(np.log1p(-draws) / log_q), float(total_pairs)
-        ).astype(np.int64)
+        # and the cap keeps the cumulative sum clear of int64 overflow.
+        # A subnormal log_q overflows the quotient to inf, which the cap
+        # absorbs, so that overflow is expected and not reported.
+        with np.errstate(over="ignore"):
+            skips = np.floor(np.log1p(-draws) / log_q)
+        gaps = 1 + np.minimum(skips, float(total_pairs)).astype(np.int64)
         pos = last + np.cumsum(gaps)
         inside = pos < total_pairs
         if not inside.all():

@@ -48,7 +48,6 @@ from repro.obs import (
 )
 from repro.stats.registry import paper_statistics
 from repro.uncertain.io import read_uncertain_graph, write_uncertain_graph
-from repro.uncertain.sampling import sample_world
 
 
 def _positive_int(text: str) -> int:
@@ -371,8 +370,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    # Imported lazily, as _cmd_stats imports the worlds engine.
+    from repro.worlds.batch import WorldBatch
+
     release = read_uncertain_graph(args.release)
-    world = sample_world(release, seed=args.seed)
+    world = WorldBatch.sample(release, 1, seed=args.seed).world_graph(0)
     write_edge_list(world, args.output)
     print(f"wrote {args.output}: n={world.num_vertices} m={world.num_edges}")
     return 0

@@ -1,15 +1,16 @@
-"""repro.exec — one sharded execution layer under the three engines.
+"""repro.exec — one sharded execution layer under the engines.
 
-The ROADMAP's "one execution layer" seam, landed: every engine that
-splits work into chunks (the Table-2 sweep grid, Table-4 world
-evaluation, Table-6 release streams) now plans
-through :class:`~repro.exec.plan.ChunkPlan` and dispatches through
-:class:`~repro.exec.executor.ChunkExecutor`, which runs the chunks
+Every engine that splits work across processes dispatches through
+:class:`~repro.exec.executor.ChunkExecutor`, which runs a task list
 serially or across a fork-based process pool — bit-identically either
-way at equal seeds.
+way at equal seeds.  Two engines use it: the Table-2 sweep grid (one
+task per cell) and the possible-world engine
+(:meth:`repro.worlds.estimator.BatchStatisticsEngine.evaluate`, one task
+per world slice), which serves Table 4/5 and the Table-6 release
+stream alike.
 
-* :mod:`repro.exec.plan` — the unified chunk planner (the consolidated
-  ``chunk_size="auto"`` rules, all ``>= 1``-clamped).
+* :mod:`repro.exec.plan` — the world engine's slice and draw sizing
+  rules, all ``>= 1``-clamped.
 * :mod:`repro.exec.executor` — serial/process ``map`` with ordered
   results, worker metric/span capture merged back into the parent
   registry and trace, and remote-exception propagation.
@@ -20,7 +21,7 @@ Drivers expose the layer as ``--workers N`` (``repro stats``,
 ``repro compare``, ``python -m repro.experiments``,
 ``benchmarks/run_paper_scale.py``); library callers pass an executor
 to ``run_obfuscation_sweep`` / ``evaluate_utility`` /
-``BatchStatisticsEngine.evaluate_stream``.
+``BatchStatisticsEngine.evaluate``.
 """
 
 from repro.exec.executor import (
@@ -35,10 +36,6 @@ from repro.exec.plan import (
     ANF_REGISTER_STACK_BYTES,
     KEEP_MATRIX_BYTES,
     PACKED_DRAW_BYTES,
-    RELEASE_CHUNK_DEFAULT,
-    SAMPLE_CHUNK_DEFAULT,
-    Chunk,
-    ChunkPlan,
     draw_rows_per_pass,
     world_eval_chunk_size,
 )
@@ -48,11 +45,7 @@ __all__ = [
     "ANF_REGISTER_STACK_BYTES",
     "KEEP_MATRIX_BYTES",
     "PACKED_DRAW_BYTES",
-    "RELEASE_CHUNK_DEFAULT",
-    "SAMPLE_CHUNK_DEFAULT",
-    "Chunk",
     "ChunkExecutor",
-    "ChunkPlan",
     "SharedArrayPack",
     "TaskFailure",
     "TaskTimeoutError",

@@ -151,8 +151,10 @@ def baseline_utility_row(
     :class:`~repro.worlds.batch.WorldBatch` chunks
     (:func:`~repro.worlds.releases.stream_releases`, so the full
     cross-release union edge list of high-``p`` perturbation never
-    materialises), and the ten paper statistics come from the
-    multi-world kernels.
+    materialises), and each chunk's ten paper statistics come from one
+    :meth:`~repro.worlds.estimator.BatchStatisticsEngine.evaluate` call
+    on the multi-world kernels, sharded over ``executor`` like the
+    obfuscation side's worlds.
 
     ``original`` lets callers that emit several rows for one dataset
     (``table6_rows``) reuse the original graph's statistics instead of
@@ -164,18 +166,21 @@ def baseline_utility_row(
     if original is None:
         original = {name: float(func(graph)) for name, func in stats.items()}
     rng = scheme_stream(config.seed, scheme)
+    engine = BatchStatisticsEngine(stats)
+    names = list(PAPER_STATISTIC_NAMES)
     with span(
         "baseline_utility", scheme=scheme, p=p, samples=config.baseline_samples
     ):
-        values = BatchStatisticsEngine(stats).evaluate_stream(
-            stream_releases(graph, scheme, p, config.baseline_samples, seed=rng),
-            list(PAPER_STATISTIC_NAMES),
-            executor=executor,
-        )
+        parts = [
+            engine.evaluate(batch, names, executor=executor)
+            for batch in stream_releases(
+                graph, scheme, p, config.baseline_samples, seed=rng
+            )
+        ]
     row: dict = {"variant": label or f"{scheme} p={p}"}
     rel = []
     for name in PAPER_STATISTIC_NAMES:
-        mean = float(np.mean(values[name]))
+        mean = float(np.mean(np.concatenate([part[name] for part in parts])))
         row[name] = mean
         ref = original[name]
         rel.append(abs(mean - ref) / abs(ref) if ref != 0 else float(mean != ref))

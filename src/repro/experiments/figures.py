@@ -22,8 +22,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import SweepEntry
 from repro.stats.degree import degree_distribution
 from repro.stats.registry import backend_histogram
-from repro.uncertain.sampling import WorldSampler
 from repro.utils.rng import as_rng
+from repro.worlds.batch import WorldBatch
 from repro.worlds.releases import sample_releases
 from repro.worlds.stats_batch import degree_matrix
 
@@ -85,9 +85,10 @@ def figure2_data(
         ).fractions()
 
     original = _pad([hist_fn(entry.graph)], max_distance + 1)[0]
-    sampler = WorldSampler(entry.result.uncertain)
-    rng = as_rng((config.seed, 2))
-    rows = [hist_fn(sampler.sample(seed=rng)) for _ in range(config.worlds)]
+    batch = WorldBatch.sample(
+        entry.result.uncertain, config.worlds, seed=(config.seed, 2)
+    )
+    rows = [hist_fn(world) for world in batch.graphs()]
     matrix = _pad(rows, max_distance + 1)
     stats = _boxplot_stats(matrix)
     return BoxplotSeries(
@@ -98,14 +99,18 @@ def figure2_data(
 def figure3_data(
     entry: SweepEntry, config: ExperimentConfig, *, max_degree: int = 8
 ) -> BoxplotSeries:
-    """Figure 3: degree-distribution boxplots vs original (degrees 0..max)."""
+    """Figure 3: degree-distribution boxplots vs original (degrees 0..max).
+
+    Each world's row is ``Δ(d)`` from one :func:`degree_matrix` row — no
+    world is built as a :class:`~repro.graphs.graph.Graph`.
+    """
     assert entry.result.uncertain is not None
     original = _pad([degree_distribution(entry.graph)], max_degree + 1)[0]
-    sampler = WorldSampler(entry.result.uncertain)
-    rng = as_rng((config.seed, 3))
-    rows = [
-        degree_distribution(sampler.sample(seed=rng)) for _ in range(config.worlds)
-    ]
+    batch = WorldBatch.sample(
+        entry.result.uncertain, config.worlds, seed=(config.seed, 3)
+    )
+    n = batch.num_vertices
+    rows = [np.bincount(row) / n for row in degree_matrix(batch)]
     matrix = _pad(rows, max_degree + 1)
     stats = _boxplot_stats(matrix)
     return BoxplotSeries(bins=np.arange(max_degree + 1), original=original, **stats)

@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.search import obfuscate_with_fallback
 from repro.core.types import ObfuscationParams, ObfuscationResult
 from repro.exec.executor import TaskFailure
-from repro.exec.plan import ChunkPlan
 from repro.experiments.config import ExperimentConfig
 from repro.graphs.graph import Graph
 from repro.obs.trace import span
@@ -193,7 +192,6 @@ def run_obfuscation_sweep(
         (d, k, e) for d in config.datasets for k in config.k_values for e in eps_values
     ]
     children = spawn_seed_sequences(config.seed, len(cells))
-    plan = ChunkPlan.cells(len(cells))
     graphs = {dataset: config.graph(dataset) for dataset in config.datasets}
     tasks = []
     for (dataset, k, paper_eps), child in zip(cells, children):
@@ -215,7 +213,6 @@ def run_obfuscation_sweep(
                 child,
             )
         )
-    assert len(plan) == len(tasks)
     restored: dict[int, ObfuscationResult] = {}
     if checkpoint is not None:
         for i, (dataset, k, paper_eps) in enumerate(cells):

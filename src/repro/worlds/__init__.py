@@ -29,19 +29,20 @@ Four layers, each consuming the previous one's flat-array output::
                     frontier, per-world fixed-point convergence; yields
                     the four distance statistics.
     estimator.py    BatchStatisticsEngine — name-based kernel dispatch,
-                    configured only by the statistic family it is given,
-                    turning any WorldBatch into per-world statistic
-                    vectors, with the ANF names and the structural names
-                    planned into world chunks by separate rules — and
-                    WorldStatisticsEstimator, which samples and
-                    evaluates worlds a chunk at a time with bounded
-                    memory.
-    releases.py     sample_releases — Table-6 randomization baselines
-                    (sparsification / perturbation) drawn as one
-                    WorldBatch per scheme: a release scheme is a
-                    distribution over possible worlds, so the same
-                    kernels that evaluate obfuscation worlds evaluate
-                    baseline releases.
+                    configured only by the statistic family it is given;
+                    its evaluate() turns any WorldBatch into per-world
+                    statistic vectors, cutting the ANF names and the
+                    structural names into world slices by separate
+                    rules and running the slices on a process pool or
+                    in process (the one such choice in the package) —
+                    and WorldStatisticsEstimator, which samples all
+                    worlds as one batch and evaluates it.
+    releases.py     sample_releases / stream_releases — Table-6
+                    randomization baselines (sparsification /
+                    perturbation) drawn as WorldBatches of releases: a
+                    release scheme is a distribution over possible
+                    worlds, so the same evaluate() that measures
+                    obfuscation worlds measures baseline releases.
 
 Determinism contract: a batch consumes the RNG stream exactly as
 :class:`repro.uncertain.sampling.WorldSampler` would (NumPy fills

@@ -163,7 +163,6 @@ class WorldBatch:
         worlds: int,
         *,
         seed=None,
-        union_cell: list | None = None,
     ) -> "WorldBatch":
         """Draw ``worlds`` independent possible worlds in one pass.
 
@@ -178,12 +177,6 @@ class WorldBatch:
             ``Generator`` consumes ``W·m`` uniforms from it — the same
             stream positions a sequential sampler would use, so batched
             and sequential draws from one generator interleave exactly.
-        union_cell:
-            Optional shared union-incidence holder.  Successive batches
-            sampled from the *same* uncertain graph share one candidate
-            pair set (``pair_arrays`` is the graph's own storage), so a
-            caller looping chunks can thread one cell through and pay
-            the incidence lexsort once instead of once per chunk.
         """
         if worlds < 0:
             raise ValueError(f"number of worlds must be non-negative, got {worlds}")
@@ -193,9 +186,7 @@ class WorldBatch:
             rng, worlds, len(ps), lambda uniforms: uniforms < ps
         )
         _WORLDS_SAMPLED.add(worlds)
-        return cls(
-            uncertain.num_vertices, us, vs, packed, len(ps), union_cell=union_cell
-        )
+        return cls(uncertain.num_vertices, us, vs, packed, len(ps))
 
     @classmethod
     def from_keep_matrix(
@@ -337,7 +328,7 @@ class WorldBatch:
 
         Built once per candidate-pair array set and reused by every
         :meth:`slice` view (the holder travels with the slice), so
-        chunked evaluation sorts the union structure exactly once.
+        sliced evaluation sorts the union structure exactly once.
         """
         if self._union_cell[0] is None:
             self._union_cell[0] = _UnionIncidence(self._us, self._vs)

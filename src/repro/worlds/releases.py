@@ -42,7 +42,6 @@ from repro.baselines.randomization import (
     _keep_mask,
     sample_added_pairs,
 )
-from repro.exec.plan import RELEASE_CHUNK_DEFAULT
 from repro.graphs.graph import Graph
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.utils.rng import as_rng
@@ -52,8 +51,11 @@ from repro.worlds.batch import WorldBatch, draw_packed_keep_bits
 #: The two whole-edge randomization schemes of §7.3.
 RELEASE_SCHEMES = ("sparsification", "perturbation")
 
-# Streaming telemetry (repro.obs): chunk shape of the release stream —
-# the knob bounding the cross-release union working set.
+#: Releases per :func:`stream_releases` batch — the bound on the
+#: cross-release union working set.
+RELEASE_CHUNK = 32
+
+# Streaming telemetry (repro.obs): chunk shape of the release stream.
 _RELEASE_CHUNKS = _OBS.counter("releases.stream.chunks")
 _RELEASE_WORLDS = _OBS.counter("releases.stream.worlds")
 _RELEASE_CHUNK_HIST = _OBS.histogram("releases.stream.chunk_size")
@@ -214,14 +216,14 @@ def stream_releases(
     worlds: int,
     *,
     seed=None,
-    chunk_size: int = RELEASE_CHUNK_DEFAULT,
 ):
     """Yield the releases of :func:`sample_releases` as bounded chunks.
 
-    A generator of :class:`WorldBatch` objects of at most ``chunk_size``
-    releases each, drawn from the *same* RNG stream positions as one
-    :func:`sample_releases` call (per-release draws happen in the same
-    order, so chunking never changes which releases are produced).
+    A generator of :class:`WorldBatch` objects of at most
+    :data:`RELEASE_CHUNK` releases each, drawn from the *same* RNG
+    stream positions as one :func:`sample_releases` call (per-release
+    draws happen in the same order, so chunking never changes which
+    releases are produced).
 
     The memory win is structural for perturbation: each chunk's
     candidate columns cover only the pairs added *within that chunk*,
@@ -235,22 +237,18 @@ def stream_releases(
     ----------
     graph, scheme, p, worlds, seed:
         As for :func:`sample_releases`.
-    chunk_size:
-        Maximum releases per yielded batch (the working-set bound).
     """
     check_probability(p, "p")
     if worlds < 0:
         raise ValueError(f"number of releases must be non-negative, got {worlds}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if scheme not in RELEASE_SCHEMES:
         raise ValueError(
             f"unknown scheme {scheme!r}; use sparsification/perturbation"
         )
     rng = as_rng(seed)
     edges = graph.edge_array()
-    for lo in range(0, worlds, chunk_size):
-        count = min(chunk_size, worlds - lo)
+    for lo in range(0, worlds, RELEASE_CHUNK):
+        count = min(RELEASE_CHUNK, worlds - lo)
         _RELEASE_CHUNKS.add(1)
         _RELEASE_WORLDS.add(count)
         _RELEASE_CHUNK_HIST.observe(count)

@@ -9,8 +9,8 @@ under the serial backend and 2- and 4-process pools, asserting the
 results compare bit-exactly each time.
 
 Comparators for the repo's three result shapes (summary dicts from the
-estimator, array dicts from ``evaluate_stream``, Table-2 sweep entry
-lists) live here too, so new equivalence pins are one-liners.
+estimator, array dicts from ``BatchStatisticsEngine.evaluate``, Table-2
+sweep entry lists) live here too, so new equivalence pins are one-liners.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def summaries_equal(a, b) -> bool:
 
 
 def array_dicts_equal(a, b) -> bool:
-    """``dict[str, np.ndarray]`` (the ``evaluate_stream`` shape)."""
+    """``dict[str, np.ndarray]`` (the ``BatchStatisticsEngine.evaluate`` shape)."""
     return set(a) == set(b) and all(
         np.array_equal(a[name], b[name]) for name in a
     )

@@ -8,12 +8,18 @@ parallelism must never be observable in the numbers.
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
 import pytest
 
+from repro.exec import ChunkExecutor
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.harness import run_obfuscation_sweep
 from repro.graphs.generators import barabasi_albert
+from repro.stats.degree import num_edges
 from repro.stats.registry import paper_statistics
+from repro.worlds import releases
 from repro.worlds.batch import WorldBatch
 from repro.worlds.estimator import BatchStatisticsEngine, WorldStatisticsEstimator
 from repro.worlds.releases import stream_releases
@@ -63,7 +69,7 @@ class TestWorldStatistics:
         engine = WorldStatisticsEstimator(uncertain)._engine
         batch = WorldBatch.sample(uncertain, 6, seed=0)
         plans = engine.plan(batch, list(engine.statistics))
-        assert [len(chunks) for _, chunks in plans] == [1, 6]
+        assert [len(range(0, 6, size)) for _, size in plans] == [1, 6]
         assert "S_CC" in plans[0][0]
 
         def build(executor):
@@ -74,18 +80,48 @@ class TestWorldStatistics:
 
 
 class TestReleaseUnions:
-    def test_evaluate_stream_over_perturbation_releases(self):
+    def test_evaluate_over_perturbation_release_stream(self, monkeypatch):
+        # three 4-release batches, each with its own union columns
         graph = barabasi_albert(80, 3, seed=1)
+        monkeypatch.setattr(releases, "RELEASE_CHUNK", 4)
 
         def build(executor):
             engine = BatchStatisticsEngine()
-            batches = stream_releases(
-                graph, "perturbation", 0.05, 12, seed=3, chunk_size=4
-            )
-            return engine.evaluate_stream(batches, executor=executor)
+            parts = [
+                engine.evaluate(batch, executor=executor)
+                for batch in stream_releases(graph, "perturbation", 0.05, 12, seed=3)
+            ]
+            return {
+                name: np.concatenate([part[name] for part in parts])
+                for name in engine.statistics
+            }
 
         values = assert_seed_equivalent(build, array_dicts_equal)
         assert all(v.shape == (12,) for v in values.values())
+
+
+class TestInProcessFallback:
+    def test_opaque_callable_evaluates_in_parent(self, uncertain):
+        """A local function can be neither pickled nor rebuilt in a
+        worker, so a process executor leaves its slices in this process,
+        with the serial values."""
+        calls = []
+
+        def halved(graph):
+            calls.append(os.getpid())
+            return graph.num_edges / 2
+
+        def build(executor):
+            mapping = {"S_NE": num_edges, "halved": halved}
+            batch = WorldBatch.sample(uncertain, 6, seed=4)
+            return BatchStatisticsEngine(mapping).evaluate(batch, executor=executor)
+
+        serial = build(None)
+        with ChunkExecutor(backend="process", workers=2) as ex:
+            pooled = build(ex)
+        assert array_dicts_equal(serial, pooled)
+        np.testing.assert_array_equal(pooled["halved"], pooled["S_NE"] / 2)
+        assert calls == [os.getpid()] * 12
 
 
 class TestTable2Grid:

@@ -1,81 +1,30 @@
-"""The unified chunk planner: decomposition invariants + pinned auto rules."""
+"""The world engine's sizing rules, and the slices ``evaluate`` cuts by them."""
 
 from __future__ import annotations
 
-import inspect
-
+import numpy as np
 import pytest
 
+from repro.exec import ChunkExecutor
 from repro.exec.plan import (
     ANF_REGISTER_STACK_BYTES,
     KEEP_MATRIX_BYTES,
     PACKED_DRAW_BYTES,
-    RELEASE_CHUNK_DEFAULT,
-    SAMPLE_CHUNK_DEFAULT,
-    Chunk,
-    ChunkPlan,
     draw_rows_per_pass,
     world_eval_chunk_size,
 )
+from repro.worlds import BatchStatisticsEngine, WorldBatch
 
+from tests.worlds.conftest import force_slices, random_uncertain
 
-class TestChunkPlan:
-    @pytest.mark.parametrize(
-        "total,chunk_size", [(1, 1), (10, 3), (10, 10), (10, 100), (97, 8)]
-    )
-    def test_chunks_partition_total(self, total, chunk_size):
-        plan = ChunkPlan("worlds", total, chunk_size)
-        chunks = list(plan)
-        assert len(chunks) == len(plan)
-        assert chunks[0].lo == 0
-        assert chunks[-1].hi == total
-        for i, chunk in enumerate(chunks):
-            assert chunk.index == i
-            assert 1 <= chunk.count <= chunk_size
-        # contiguous: each chunk starts where the previous ended
-        for prev, cur in zip(chunks, chunks[1:]):
-            assert cur.lo == prev.hi
-
-    def test_empty_total_yields_no_chunks(self):
-        plan = ChunkPlan("rows", 0, 5)
-        assert len(plan) == 0
-        assert list(plan) == []
-
-    def test_deterministic(self):
-        a = list(ChunkPlan("worlds", 100, 7))
-        b = list(ChunkPlan("worlds", 100, 7))
-        assert a == b  # frozen dataclasses compare by value
-
-    def test_invalid_arguments_raise(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ChunkPlan("worlds", 10, 0)
-        with pytest.raises(ValueError, match="total"):
-            ChunkPlan("worlds", -1, 4)
-
-    def test_chunk_count_property(self):
-        assert Chunk(0, 3, 11).count == 8
-
-    def test_cells_plan_is_one_per_chunk(self):
-        plan = ChunkPlan.cells(5)
-        assert [c.count for c in plan] == [1] * 5
-
-    def test_releases_plan_default(self):
-        assert ChunkPlan.releases(100).chunk_size == RELEASE_CHUNK_DEFAULT
-        assert ChunkPlan.releases(100, chunk_size=7).chunk_size == 7
-
-    def test_worlds_plan_auto_matches_rule(self):
-        plan = ChunkPlan.worlds(
-            64, num_vertices=1000, num_candidate_pairs=5000, anf=True
-        )
-        assert plan.chunk_size == world_eval_chunk_size(
-            1000, 5000, anf=True
-        )
+#: One structural and one ANF name, so every batch has two kernel groups.
+_NAMES = ["S_NE", "S_APD"]
 
 
 class TestAutoRules:
     def test_world_eval_anf_bounds_register_stack(self):
-        n, b = 1000, 6
-        size = world_eval_chunk_size(n, 10, anf=True, anf_b=b)
+        n, b = 1000, 6  # the engine's HyperANF register exponent
+        size = world_eval_chunk_size(n, 10, anf=True)
         assert size == ANF_REGISTER_STACK_BYTES // (n << b)
         # the next world would overflow the ~2 MB register-stack bound
         assert (size + 1) * (n << b) > ANF_REGISTER_STACK_BYTES
@@ -97,23 +46,89 @@ class TestAutoRules:
 
 
 class TestConsolidation:
-    """The three ad-hoc ``auto`` conventions now come from the planner."""
+    """The sizing conventions come from one constant each."""
 
-    def test_release_stream_default_is_planner_constant(self):
-        from repro.worlds.releases import stream_releases
+    @pytest.mark.parametrize(
+        "releases,sizes", [(70, [32, 32, 6]), (32, [32]), (33, [32, 1])]
+    )
+    def test_release_stream_batches_are_release_chunk(self, releases, sizes):
+        from repro.graphs.generators import erdos_renyi
+        from repro.worlds.releases import RELEASE_CHUNK, stream_releases
 
-        default = inspect.signature(stream_releases).parameters["chunk_size"]
-        assert default.default == RELEASE_CHUNK_DEFAULT
-
-    def test_estimator_default_is_planner_constant(self):
-        from repro.worlds.estimator import WorldStatisticsEstimator
-
-        default = inspect.signature(
-            WorldStatisticsEstimator.__init__
-        ).parameters["chunk_size"]
-        assert default.default == SAMPLE_CHUNK_DEFAULT
+        assert RELEASE_CHUNK == 32
+        graph = erdos_renyi(10, 0.3, seed=0)
+        batches = stream_releases(graph, "sparsification", 0.5, releases, seed=0)
+        assert [b.num_worlds for b in batches] == sizes
 
     def test_packed_draw_uses_planner_rule(self):
         from repro.worlds import batch
 
         assert batch.draw_rows_per_pass is draw_rows_per_pass
+
+
+class TestEvaluateSlices:
+    """``evaluate`` cuts each kernel group's worlds into the contiguous
+    slices ``range(0, W, size)``, whichever backend runs them."""
+
+    @staticmethod
+    def _batch(worlds):
+        return WorldBatch.sample(random_uncertain(12, 20, seed=5), worlds, seed=1)
+
+    @staticmethod
+    def _record_slices(monkeypatch):
+        """Record ``(group, packed keep bits)`` of every in-process slice."""
+        seen = []
+        inner = BatchStatisticsEngine._evaluate_slice
+
+        def recording(self, batch, names):
+            seen.append((list(names), batch.packed_bits.copy()))
+            return inner(self, batch, names)
+
+        monkeypatch.setattr(BatchStatisticsEngine, "_evaluate_slice", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "total,size", [(1, 1), (10, 3), (10, 10), (10, 100), (97, 8)]
+    )
+    def test_slices_partition_worlds(self, monkeypatch, total, size):
+        batch = self._batch(total)
+        force_slices(monkeypatch, batch, size)
+        seen = self._record_slices(monkeypatch)
+        engine = BatchStatisticsEngine()
+        groups = engine.plan(batch, _NAMES)
+        assert [s for _, s in groups] == [size, size]
+        engine.evaluate(batch, _NAMES)
+        # group by group, structural first, each group in world order
+        assert [g for g, _ in seen] == [
+            g for g, s in groups for _ in range(0, total, s)
+        ]
+        for group, _ in groups:
+            parts = [bits for g, bits in seen if g == group]
+            assert all(1 <= len(bits) <= size for bits in parts)
+            np.testing.assert_array_equal(
+                np.concatenate(parts), batch.packed_bits
+            )
+
+    def test_pool_runs_the_in_process_slices(self, monkeypatch):
+        batch = self._batch(10)
+        force_slices(monkeypatch, batch, 3)
+        seen = self._record_slices(monkeypatch)
+        engine = BatchStatisticsEngine()
+        serial = engine.evaluate(batch, _NAMES)
+        shipped = []
+        with ChunkExecutor(backend="process", workers=2) as ex:
+            inner = ex.map
+
+            def recording_map(fn, tasks, **kwargs):
+                tasks = list(tasks)
+                shipped.extend((list(t[1]), t[2]) for t in tasks)
+                return inner(fn, tasks, **kwargs)
+
+            monkeypatch.setattr(ex, "map", recording_map)
+            pooled = engine.evaluate(batch, _NAMES, executor=ex)
+        assert len(shipped) == len(seen) == 2 * 4
+        for (g_pool, bits_pool), (g_serial, bits_serial) in zip(shipped, seen):
+            assert g_pool == g_serial
+            np.testing.assert_array_equal(bits_pool, bits_serial)
+        for name in _NAMES:
+            np.testing.assert_array_equal(pooled[name], serial[name])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec import plan
 from repro.uncertain.graph import UncertainGraph
 
 
@@ -21,6 +22,19 @@ def random_uncertain(
         p = 1.0 if rng.random() < certain_fraction else float(rng.random())
         chosen[(min(u, v), max(u, v))] = p
     return UncertainGraph.from_pairs(n, [(u, v, p) for (u, v), p in chosen.items()])
+
+
+def force_slices(monkeypatch, shape, size: int) -> None:
+    """Patch the planner's byte bounds so that both kernel groups of a
+    batch shaped like ``shape`` (anything with ``num_vertices`` and
+    ``num_candidate_pairs``: an uncertain graph or a world batch) are
+    evaluated ``size`` worlds at a time."""
+    monkeypatch.setattr(
+        plan, "KEEP_MATRIX_BYTES", size * max(shape.num_candidate_pairs, 1)
+    )
+    monkeypatch.setattr(
+        plan, "ANF_REGISTER_STACK_BYTES", size * max(shape.num_vertices << 6, 1)
+    )
 
 
 @pytest.fixture

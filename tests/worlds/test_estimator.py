@@ -1,8 +1,9 @@
 """End-to-end equivalence: the batched estimator vs the sequential oracle.
 
 Same seed ⇒ same worlds ⇒ Table-4 values within 1e-9, for every
-distance backend and any chunking.  The one-world-at-a-time reference
-loop lives in ``tests/oracles/worlds.py``.
+distance backend and any world slicing.  The one-world-at-a-time
+reference loop lives in ``tests/oracles/worlds.py``.  Small slices are
+forced by shrinking the planner's byte bounds (:func:`force_slices`).
 """
 
 import gc
@@ -10,6 +11,8 @@ import gc
 import numpy as np
 import pytest
 
+from repro.exec import plan
+from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
 from repro.stats.degree import num_edges
 from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
@@ -19,17 +22,16 @@ from repro.worlds import (
     WorldBatch,
     WorldStatisticsEstimator,
 )
+from repro.worlds.releases import stream_releases
 
 from tests.oracles.worlds import world_statistics
-from tests.worlds.conftest import random_uncertain
+from tests.worlds.conftest import force_slices, random_uncertain
 
 
-def _run_pair(uncertain, *, distance_backend, worlds, seed, chunk_size=32):
+def _run_pair(uncertain, *, distance_backend, worlds, seed):
     stats = paper_statistics(distance_backend=distance_backend, seed=seed)
     sequential = world_statistics(uncertain, stats, worlds=worlds, seed=seed)
-    batched = WorldStatisticsEstimator(
-        uncertain, stats, chunk_size=chunk_size
-    ).run(worlds=worlds, seed=seed)
+    batched = WorldStatisticsEstimator(uncertain, stats).run(worlds=worlds, seed=seed)
     return sequential, batched
 
 
@@ -49,7 +51,7 @@ class TestTable4Equivalence:
                 err_msg=f"{distance_backend}/{name}",
             )
 
-    def test_property_random_graphs(self):
+    def test_property_random_graphs(self, monkeypatch):
         """Property sweep: shapes × seeds, per-world values within 1e-9."""
         rng = np.random.default_rng(17)
         for trial in range(5):
@@ -57,8 +59,9 @@ class TestTable4Equivalence:
             pairs = int(rng.integers(4, max(5, n * 2)))
             ug = random_uncertain(n, pairs, seed=100 + trial)
             seed = int(rng.integers(0, 2**31))
+            force_slices(monkeypatch, ug, 4)
             sequential, batched = _run_pair(
-                ug, distance_backend="anf", worlds=6, seed=seed, chunk_size=4
+                ug, distance_backend="anf", worlds=6, seed=seed
             )
             for name in PAPER_STATISTIC_NAMES:
                 np.testing.assert_allclose(
@@ -69,17 +72,16 @@ class TestTable4Equivalence:
                     err_msg=f"trial {trial}: {name}",
                 )
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, 100])
-    def test_chunking_does_not_change_results(self, denser_uncertain, chunk_size):
+    @pytest.mark.parametrize("size", [1, 3, 100])
+    def test_chunking_does_not_change_results(
+        self, denser_uncertain, monkeypatch, size
+    ):
         _, reference = _run_pair(
             denser_uncertain, distance_backend="anf", worlds=7, seed=0
         )
+        force_slices(monkeypatch, denser_uncertain, size)
         _, chunked = _run_pair(
-            denser_uncertain,
-            distance_backend="anf",
-            worlds=7,
-            seed=0,
-            chunk_size=chunk_size,
+            denser_uncertain, distance_backend="anf", worlds=7, seed=0
         )
         for name in PAPER_STATISTIC_NAMES:
             np.testing.assert_array_equal(
@@ -138,9 +140,41 @@ class TestBatchedEstimator:
         with pytest.raises(ValueError):
             WorldStatisticsEstimator(denser_uncertain).run(worlds=0)
 
-    def test_bad_chunk_size_rejected(self, denser_uncertain):
-        with pytest.raises(ValueError):
-            WorldStatisticsEstimator(denser_uncertain, chunk_size=0)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "estimator-chunk_size",
+            "evaluate-chunk_size",
+            "plan-chunk_size",
+            "stream_releases-chunk_size",
+            "sample-union_cell",
+            "world_eval_chunk_size-anf_b",
+        ],
+    )
+    def test_chunking_options_removed(self, denser_uncertain, call):
+        """Slices come from the planner's bounds alone: none of the
+        former chunking keywords is accepted."""
+        engine = BatchStatisticsEngine()
+        batch = WorldBatch.sample(denser_uncertain, 2, seed=0)
+        graph = erdos_renyi(10, 0.3, seed=0)
+        calls = {
+            "estimator-chunk_size": lambda: WorldStatisticsEstimator(
+                denser_uncertain, chunk_size=4
+            ),
+            "evaluate-chunk_size": lambda: engine.evaluate(batch, chunk_size=1),
+            "plan-chunk_size": lambda: engine.plan(batch, ["S_NE"], chunk_size=1),
+            "stream_releases-chunk_size": lambda: list(
+                stream_releases(graph, "sparsification", 0.5, 4, chunk_size=2)
+            ),
+            "sample-union_cell": lambda: WorldBatch.sample(
+                denser_uncertain, 2, seed=0, union_cell=[None]
+            ),
+            "world_eval_chunk_size-anf_b": lambda: plan.world_eval_chunk_size(
+                100, 10, anf=True, anf_b=6
+            ),
+        }
+        with pytest.raises(TypeError):
+            calls[call]()
 
     def test_bad_backend_rejected(self, denser_uncertain):
         """A backend reaches the estimator only through a family, and the
@@ -166,8 +200,10 @@ class TestBatchedEstimator:
                 BatchStatisticsEngine(family, **{option: 1})
 
     @pytest.mark.parametrize("backend", ["exact", "sampled"])
-    def test_distance_callables_fresh_per_world(self, denser_uncertain, backend):
-        """One-world chunks free each world before the next is built, so
+    def test_distance_callables_fresh_per_world(
+        self, denser_uncertain, monkeypatch, backend
+    ):
+        """One-world slices free each world before the next is built, so
         a new world may be allocated where the last one lived; the
         family's histogram cache must not hand it the old histogram."""
         family = paper_statistics(distance_backend=backend, sample_size=8, seed=3)
@@ -179,13 +215,14 @@ class TestBatchedEstimator:
             seed=2,
         )["S_APD"].values
         assert len(set(sequential)) > 1
-        estimator = WorldStatisticsEstimator(denser_uncertain, mapping, chunk_size=1)
+        force_slices(monkeypatch, denser_uncertain, 1)
+        estimator = WorldStatisticsEstimator(denser_uncertain, mapping)
         for _ in range(2):  # a second run reuses the mapping and its cache
             values = estimator.run(worlds=8, seed=2)["S_APD"].values
             np.testing.assert_allclose(values, sequential, atol=1e-12, rtol=0)
         batch = WorldBatch.sample(denser_uncertain, 8, seed=2)
         for engine in (BatchStatisticsEngine(mapping), BatchStatisticsEngine(family)):
-            values = engine.evaluate(batch, ["S_APD"], chunk_size=1)["S_APD"]
+            values = engine.evaluate(batch, ["S_APD"])["S_APD"]
             np.testing.assert_allclose(values, sequential, atol=1e-12, rtol=0)
 
     def test_family_config_adopted(self, denser_uncertain):
@@ -219,7 +256,7 @@ class TestBatchedEstimator:
 
 
 class TestAutoChunkBound:
-    """Auto chunk_size must track the statistics actually evaluated."""
+    """The slice size must track the statistics actually evaluated."""
 
     @staticmethod
     def _eval_chunks(engine, batch, names):
@@ -268,33 +305,34 @@ class TestAutoChunkBound:
         engine = BatchStatisticsEngine()
         batch = self._large_n_batch(worlds=4)
         names = list(engine.statistics)
-        plan = [
-            (group, [(c.lo, c.hi) for c in chunks])
-            for group, chunks in engine.plan(batch, names)
-        ]
-        assert plan == [
-            (["S_NE", "S_AD", "S_MD", "S_DV", "S_PL", "S_CC"], [(0, 4)]),
-            (["S_APD", "S_DiamLB", "S_EDiam", "S_CL"], [(w, w + 1) for w in range(4)]),
+        assert engine.plan(batch, names) == [
+            (
+                ["S_NE", "S_AD", "S_MD", "S_DV", "S_PL", "S_CC"],
+                plan.KEEP_MATRIX_BYTES // batch.num_candidate_pairs,
+            ),
+            (["S_APD", "S_DiamLB", "S_EDiam", "S_CL"], 1),
         ]
         assert self._eval_chunks(engine, batch, names) == 1 + batch.num_worlds
 
-    def test_explicit_chunk_size_applies_to_every_group(self):
+    def test_forced_slice_size_applies_to_every_group(self, monkeypatch):
         engine = BatchStatisticsEngine()
         batch = self._large_n_batch(worlds=5)
         names = list(engine.statistics)
-        plans = engine.plan(batch, names, chunk_size=2)
-        assert [chunks.chunk_size for _, chunks in plans] == [2, 2]
         auto = engine.evaluate(batch, names)
-        forced = engine.evaluate(batch, names, chunk_size=2)
+        force_slices(monkeypatch, batch, 2)
+        assert [size for _, size in engine.plan(batch, names)] == [2, 2]
+        assert self._eval_chunks(engine, batch, names) == 3 + 3
+        forced = engine.evaluate(batch, names)
         for name in names:
             np.testing.assert_array_equal(auto[name], forced[name])
 
-    def test_values_identical_across_the_bound_change(self):
+    def test_values_identical_across_the_bound_change(self, monkeypatch):
         engine = BatchStatisticsEngine(
             paper_statistics(distance_backend="sampled", sample_size=4)
         )
         batch = self._large_n_batch(worlds=3)
         auto = engine.evaluate(batch, ["S_NE", "S_APD"])
-        forced = engine.evaluate(batch, ["S_NE", "S_APD"], chunk_size=1)
+        force_slices(monkeypatch, batch, 1)
+        forced = engine.evaluate(batch, ["S_NE", "S_APD"])
         for name in auto:
             np.testing.assert_array_equal(auto[name], forced[name])

@@ -7,6 +7,8 @@ edge-for-edge — the property that lets Table 6 run on the batched
 kernels while the sequential functions stay the pinned ground truth.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.baselines.randomization import (
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph, pair_index
 from repro.utils.rng import as_rng
+from repro.worlds import releases
 from repro.worlds.releases import (
     RELEASE_SCHEMES,
     _merge_sorted_unique,
@@ -65,6 +68,20 @@ class TestPrimitives:
             sample_addition_indices(as_rng(0), 50, 1.0), np.arange(50)
         )
         assert len(sample_addition_indices(as_rng(0), 0, 0.5)) == 0
+
+    def test_addition_indices_subnormal_rate_is_silent(self):
+        """A ``p_add`` so small that ``log(1 − p_add)`` is subnormal
+        overflows the skip quotient to inf.  The gap cap absorbs it with
+        no warning, and the block is still drawn, so every later draw
+        on the stream stays where it was."""
+        rng = as_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = sample_addition_indices(rng, 1000, 1e-310)
+        assert len(hits) == 0
+        reference = as_rng(0)
+        reference.random(32)  # the one 32-uniform block
+        assert rng.random() == reference.random()
 
 
 class TestSeedEquivalence:
@@ -177,19 +194,21 @@ class TestSlicing:
 
 
 class TestStreaming:
-    """stream_releases: same releases, bounded chunks, same statistics."""
+    """stream_releases: same releases, bounded chunks, same statistics.
+
+    Small chunks are forced by patching :data:`releases.RELEASE_CHUNK`.
+    """
 
     @pytest.mark.parametrize("scheme", RELEASE_SCHEMES)
     @pytest.mark.parametrize("chunk_size", [1, 3, 5, 100])
-    def test_stream_matches_monolithic_releases(self, scheme, chunk_size):
+    def test_stream_matches_monolithic_releases(
+        self, scheme, chunk_size, monkeypatch
+    ):
         graph = erdos_renyi(40, 0.15, seed=3)
         worlds = 11
         full = sample_releases(graph, scheme, 0.45, worlds, seed=(3, 5))
-        chunks = list(
-            stream_releases(
-                graph, scheme, 0.45, worlds, seed=(3, 5), chunk_size=chunk_size
-            )
-        )
+        monkeypatch.setattr(releases, "RELEASE_CHUNK", chunk_size)
+        chunks = list(stream_releases(graph, scheme, 0.45, worlds, seed=(3, 5)))
         assert sum(c.num_worlds for c in chunks) == worlds
         assert all(c.num_worlds <= chunk_size for c in chunks)
         w = 0
@@ -198,19 +217,18 @@ class TestStreaming:
                 assert chunk.world_graph(i) == full.world_graph(w)
                 w += 1
 
-    def test_stream_union_is_chunk_local(self):
+    def test_stream_union_is_chunk_local(self, monkeypatch):
         """No chunk's candidate columns cover another chunk's additions —
         the memory bound the streaming mode exists for."""
         graph = erdos_renyi(50, 0.1, seed=1)
         full = sample_releases(graph, "perturbation", 0.9, 12, seed=9)
-        chunks = list(
-            stream_releases(graph, "perturbation", 0.9, 12, seed=9, chunk_size=3)
-        )
+        monkeypatch.setattr(releases, "RELEASE_CHUNK", 3)
+        chunks = list(stream_releases(graph, "perturbation", 0.9, 12, seed=9))
         assert max(c.num_candidate_pairs for c in chunks) < full.num_candidate_pairs
 
-    def test_streaming_statistics_match_materialised(self):
-        """evaluate_stream over stream_releases == evaluate over the
-        monolithic batch, for every paper statistic."""
+    def test_streaming_statistics_match_materialised(self, monkeypatch):
+        """evaluate per stream_releases chunk, concatenated == evaluate
+        over the monolithic batch, for every paper statistic."""
         from repro.stats.registry import paper_statistics
         from repro.worlds.estimator import BatchStatisticsEngine
 
@@ -220,22 +238,19 @@ class TestStreaming:
         engine = BatchStatisticsEngine(stats)
         full = sample_releases(graph, "perturbation", 0.6, 10, seed=(6, 1))
         expected = engine.evaluate(full, names)
-        streamed = engine.evaluate_stream(
-            stream_releases(
-                graph, "perturbation", 0.6, 10, seed=(6, 1), chunk_size=3
-            ),
-            names,
-        )
+        monkeypatch.setattr(releases, "RELEASE_CHUNK", 3)
+        parts = [
+            engine.evaluate(batch, names)
+            for batch in stream_releases(graph, "perturbation", 0.6, 10, seed=(6, 1))
+        ]
+        assert len(parts) == 4
         for name in names:
-            np.testing.assert_allclose(
-                streamed[name], expected[name], rtol=0, atol=1e-9
-            )
+            streamed = np.concatenate([part[name] for part in parts])
+            np.testing.assert_allclose(streamed, expected[name], rtol=0, atol=1e-9)
 
     def test_stream_empty_and_validation(self):
         graph = erdos_renyi(10, 0.3, seed=0)
         assert list(stream_releases(graph, "sparsification", 0.5, 0, seed=0)) == []
-        with pytest.raises(ValueError):
-            list(stream_releases(graph, "sparsification", 0.5, 4, chunk_size=0))
         with pytest.raises(ValueError):
             list(stream_releases(graph, "smoothing", 0.5, 4, seed=0))
 

@@ -29,6 +29,7 @@ from repro.worlds import (
     degree_statistics_batch,
     triangle_counts_batch,
 )
+from repro.worlds import releases
 from repro.worlds.releases import sample_releases, stream_releases
 
 from tests.oracles.triangles import clustering_coefficient, triangle_count
@@ -174,11 +175,11 @@ class TestTriangleKernelProperties:
     )
     def test_perturbation_release_stream(self, worlds, p, chunk, seed):
         graph = barabasi_albert(40, 3, seed=1)
-        for batch in stream_releases(
-            graph, "perturbation", p, worlds, seed=seed, chunk_size=chunk
-        ):
-            counts, _, _ = _counts_and_choice(batch, wedge_budget=1)
-            np.testing.assert_array_equal(counts, _oracle_counts(batch))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(releases, "RELEASE_CHUNK", chunk)
+            for batch in stream_releases(graph, "perturbation", p, worlds, seed=seed):
+                counts, _, _ = _counts_and_choice(batch, wedge_budget=1)
+                np.testing.assert_array_equal(counts, _oracle_counts(batch))
 
     def test_sampled_worlds_share_one_enumeration(self, denser_uncertain):
         batch = WorldBatch.sample(denser_uncertain, 130, seed=2)
