@@ -6,8 +6,9 @@ pinned workload through it, and asserts the resilience invariants:
 
 * whenever a run completes, its results are **bit-identical** to the
   fault-free run (retries re-execute pure functions of the task index);
-* no ``/dev/shm`` segments leak, no pool deadlocks (the whole script
-  has a bounded runtime — a hang is a failure by timeout);
+* no pool worker or ``multiprocessing`` resource tracker outlives a
+  ``map``, no pool deadlocks (the whole script has a bounded runtime —
+  a hang is a failure by timeout);
 * quarantine converts a poison task into a flagged slot, never an
   aborted grid;
 * a torn manifest is *rejected loudly* by the loader;
@@ -24,12 +25,13 @@ Exit status: 0 = every scenario held, 1 = first broken invariant.
 from __future__ import annotations
 
 import asyncio
-import glob
 import json
+import multiprocessing
 import socket
 import sys
 import threading
 import time
+from multiprocessing import resource_tracker
 
 import numpy as np
 
@@ -54,8 +56,12 @@ def _draw(seed, shared=None):
     return np.random.default_rng(seed).random(64)
 
 
-def _shm_leaks() -> list[str]:
-    return glob.glob("/dev/shm/repro_*")
+def _strays() -> list[str]:
+    """Processes a returned or raised ``map`` must not leave running."""
+    strays = [f"child {p.pid}" for p in multiprocessing.active_children()]
+    if resource_tracker._resource_tracker._fd is not None:
+        strays.append("resource tracker")
+    return strays
 
 
 def _check(name: str, ok: bool, detail: str = "") -> bool:
@@ -74,6 +80,7 @@ def scenario_worker_kill() -> bool:
     ex = make_executor(2, retry=FAST_RETRY)
     try:
         got = ex.map(_draw, seeds)
+        strays = _strays()
     finally:
         ex.close()
         install_fault_plan(None)
@@ -81,8 +88,8 @@ def scenario_worker_kill() -> bool:
     deaths = REGISTRY.get("exec.worker_deaths")
     return _check(
         "worker kill → bit-identical retry",
-        identical and deaths >= 1 and _shm_leaks() == [],
-        f"worker_deaths={deaths} shm_leaks={_shm_leaks()}",
+        identical and deaths >= 1 and not strays,
+        f"worker_deaths={deaths} strays={strays}",
     )
 
 
@@ -97,11 +104,16 @@ def scenario_transient_error() -> bool:
     ex = make_executor(2, retry=FAST_RETRY)
     try:
         got = ex.map(_draw, seeds)
+        strays = _strays()
     finally:
         ex.close()
         install_fault_plan(None)
     identical = all(np.array_equal(g, e) for g, e in zip(got, expected))
-    return _check("transient error → bit-identical retry", identical)
+    return _check(
+        "transient error → bit-identical retry",
+        identical and not strays,
+        f"strays={strays}",
+    )
 
 
 def scenario_straggler_timeout() -> bool:
@@ -116,6 +128,7 @@ def scenario_straggler_timeout() -> bool:
     t0 = time.monotonic()
     try:
         got = ex.map(_draw, seeds)
+        strays = _strays()
     finally:
         ex.close()
         install_fault_plan(None)
@@ -123,8 +136,9 @@ def scenario_straggler_timeout() -> bool:
     identical = all(np.array_equal(g, e) for g, e in zip(got, expected))
     return _check(
         "straggler timeout → respawn, no hang",
-        identical and elapsed < 8.0 and REGISTRY.get("exec.timeouts") >= 1,
-        f"{elapsed:.1f}s",
+        identical and elapsed < 8.0 and REGISTRY.get("exec.timeouts") >= 1
+        and not strays,
+        f"{elapsed:.1f}s strays={strays}",
     )
 
 
@@ -139,6 +153,7 @@ def scenario_poison_quarantine() -> bool:
     )
     try:
         got = ex.map(_draw, list(range(6)))
+        strays = _strays()
     finally:
         ex.close()
         install_fault_plan(None)
@@ -148,7 +163,9 @@ def scenario_poison_quarantine() -> bool:
     )
     return _check(
         "poison task → quarantined, siblings unharmed",
-        poisoned and others_fine and REGISTRY.get("exec.poisoned") >= 1,
+        poisoned and others_fine and REGISTRY.get("exec.poisoned") >= 1
+        and not strays,
+        f"strays={strays}",
     )
 
 
@@ -302,7 +319,7 @@ def main() -> int:
         ok &= scenario_torn_manifest(Path(tmp))
     ok &= scenario_serve_overload(release)
     ok &= scenario_conn_drop(release)
-    ok &= _check("no shm leaks at exit", _shm_leaks() == [], str(_shm_leaks()))
+    ok &= _check("no stray process at exit", _strays() == [], str(_strays()))
     print(f"\nchaos smoke {'passed' if ok else 'FAILED'} "
           f"in {time.monotonic() - t0:.1f}s")
     return 0 if ok else 1

@@ -8,9 +8,10 @@ the two contracts the executor pins:
    obfuscated edge/probability arrays) and every world-statistic array
    is byte-identical between the serial and sharded runs at equal
    seeds.  Parallelism is an implementation detail, never a result.
-2. **Clean lifecycle**: the pool shuts down without leaking shared-
-   memory segments (``/dev/shm`` is empty of ``repro-*`` blocks after
-   close) and worker metrics merged back into the parent registry.
+2. **Clean lifecycle**: every ``map`` joins the pool it forked, so no
+   child process and no ``multiprocessing`` resource tracker is left
+   running afterwards, and worker metrics merged back into the parent
+   registry.
 
 Timings for both runs are recorded into
 ``benchmarks/results/exec_speedup.csv`` with the host's ``cpu_count``
@@ -30,10 +31,11 @@ contract (printed to stderr).
 from __future__ import annotations
 
 import argparse
-import glob
+import multiprocessing
 import os
 import sys
 import time
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +58,12 @@ def fail(message: str) -> None:
     raise SystemExit(1)
 
 
-def _shm_leaks() -> list[str]:
-    return glob.glob("/dev/shm/repro-*")
+def _strays() -> list[str]:
+    """Processes a finished ``map`` must not leave running."""
+    strays = [f"child {p.pid}" for p in multiprocessing.active_children()]
+    if resource_tracker._resource_tracker._fd is not None:
+        strays.append("resource tracker")
+    return strays
 
 
 def main() -> int:
@@ -138,10 +144,10 @@ def main() -> int:
                  "(worker dumps were not merged)")
         print("metrics: worker counters merged into parent registry")
 
-    leaks = _shm_leaks()
-    if leaks:
-        fail(f"shared-memory segments leaked after close: {leaks}")
-    print("lifecycle: pool closed, no /dev/shm leaks")
+    strays = _strays()
+    if strays:
+        fail(f"processes left running after the maps: {strays}")
+    print("lifecycle: every pool joined, no child or resource tracker left")
 
     rows = [
         {

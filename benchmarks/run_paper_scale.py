@@ -134,7 +134,8 @@ def main() -> int:
 
     # SIGTERM behaves like SIGINT: the per-cell checkpoint records are
     # already flushed atomically as cells complete, so a clean unwind
-    # (pool teardown, shm unlink) is all the handler needs to trigger.
+    # (the running map terminates and joins its pool) is all the handler
+    # needs to trigger.
     def _sigterm(signum, frame):
         raise KeyboardInterrupt
 

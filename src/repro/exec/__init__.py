@@ -13,9 +13,11 @@ stream alike.
   rules, all ``>= 1``-clamped.
 * :mod:`repro.exec.executor` — serial/process ``map`` with ordered
   results, worker metric/span capture merged back into the parent
-  registry and trace, and remote-exception propagation.
-* :mod:`repro.exec.shm` — read-only shared-memory NumPy arrays so
-  workers never pickle the graph or the union incidence.
+  registry and trace, and remote-exception propagation.  Each process
+  ``map`` forks its own pool, whose workers inherit the call's
+  ``shared`` object (the graphs, or the engine and its world batch),
+  so nothing large is pickled or copied; the pool is joined before
+  ``map`` returns or raises.
 
 Drivers expose the layer as ``--workers N`` (``repro stats``,
 ``repro compare``, ``python -m repro.experiments``,
@@ -39,18 +41,15 @@ from repro.exec.plan import (
     draw_rows_per_pass,
     world_eval_chunk_size,
 )
-from repro.exec.shm import SharedArrayPack, attach_shared
 
 __all__ = [
     "ANF_REGISTER_STACK_BYTES",
     "KEEP_MATRIX_BYTES",
     "PACKED_DRAW_BYTES",
     "ChunkExecutor",
-    "SharedArrayPack",
     "TaskFailure",
     "TaskTimeoutError",
     "WorkerLostError",
-    "attach_shared",
     "draw_rows_per_pass",
     "effective_workers",
     "make_executor",

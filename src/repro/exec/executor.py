@@ -4,10 +4,12 @@
 
 * ``backend="serial"`` — plain in-process iteration.  The degenerate
   case every engine already was; metrics and spans flow naturally.
-* ``backend="process"`` — a ``fork``-context process pool.  Large
-  read-only constants travel via :class:`~repro.exec.shm.SharedArrayPack`
-  (zero pickling of the graph), per-chunk data travels pickled, and
-  each task result carries the worker's metric dump and buffered span
+* ``backend="process"`` — a ``fork``-context process pool, forked
+  afresh by each ``map`` call and joined before it returns or raises.
+  The call's ``shared`` object reaches the workers through the pool
+  initializer, so they inherit it at fork: nothing of it is pickled or
+  copied.  Only each task's small argument travels pickled, and each
+  task result carries the worker's metric dump and buffered span
   records back to the parent, where they are merged into the global
   registry and the active trace (:meth:`repro.obs.trace.Tracer.absorb`).
 
@@ -24,7 +26,7 @@ index, re-execution is exactness-preserving — so the process backend
 survives crashed and hung workers.  Tasks are dispatched individually
 (``apply_async``) and collected by a poll loop that watches the pool's
 worker PIDs: a SIGKILLed worker changes the PID set, at which point the
-pool is respawned and every in-flight task is resubmitted (a task that
+pool is re-forked and every in-flight task is resubmitted (a task that
 happened to complete twice is harmless: only the accepted execution's
 result/metrics/spans are merged).  Per-task ``task_timeout_s`` treats a
 stuck worker the same way.  Failures are retried on a bounded,
@@ -38,9 +40,8 @@ flow into run manifests.
 
 **Error propagation.**  With ``quarantine=False`` a task that exhausts
 retries re-raises in the parent (the pool's remote-traceback plumbing),
-after which the executor tears the map call down and unlinks any shared
-segments — a crash of one worker never strands shared memory or
-deadlocks siblings.
+after the pool is terminated and joined — a crash of one worker never
+strands a sibling process or deadlocks the next ``map``.
 
 Workers reset the global metrics registry at the start of *every* task
 (tasks run sequentially within a worker), so the end-of-task dump *is*
@@ -67,7 +68,6 @@ from repro.obs.trace import (
     span,
     tracing_enabled,
 )
-from repro.exec.shm import SharedArrayPack, attach_shared
 from repro.resilience.faults import fault_point
 from repro.resilience.retry import RetryPolicy
 
@@ -149,21 +149,26 @@ def make_executor(
     )
 
 
-def _worker_init() -> None:
+#: The ``shared`` object of the ``map`` call that forked this worker.
+_SHARED = None
+
+
+def _worker_init(shared) -> None:
     """Per-process initialisation, run once right after fork."""
+    global _SHARED
+    _SHARED = shared
     drop_inherited_tracer()
     reset_metrics()
 
 
 def _run_task(payload):
     """Worker-side task wrapper: metrics delta + buffered span capture."""
-    fn, arg, descriptor, capture_spans, index, attempt = payload
+    fn, arg, capture_spans, index, attempt = payload
     fault_point("exec.task.pre", index=index, attempt=attempt)
-    shared = attach_shared(descriptor)
     reset_metrics()
     tracer = enable_tracing(None) if capture_spans else None
     try:
-        result = fn(arg, shared)
+        result = fn(arg, _SHARED)
     finally:
         if tracer is not None:
             disable_tracing()
@@ -214,10 +219,11 @@ class ChunkExecutor:
         :class:`TaskFailure` in its result slot instead of aborting the
         whole map.  Default ``False`` preserves raise-through semantics.
 
-    Use as a context manager, or call :meth:`close` when done; the
-    process pool is created lazily on first :meth:`map` and reused
-    across calls (workers keep their attached shared segments and warm
-    caches between maps).
+    Each :meth:`map` call of the process backend forks its own pool,
+    whose workers inherit that call's ``shared`` object, and joins it
+    before returning or raising: no worker outlives a call, and none
+    sees an earlier call's data.  The context manager and :meth:`close`
+    scope an executor; after a ``map`` they have nothing left to join.
     """
 
     def __init__(
@@ -251,20 +257,24 @@ class ChunkExecutor:
 
     # ------------------------------------------------------------------
     def map(self, fn, tasks, *, shared=None, on_result=None) -> list:
-        """``[fn(task, shared_arrays) for task in tasks]``, maybe sharded.
+        """``[fn(task, shared) for task in tasks]``, maybe sharded.
 
         Parameters
         ----------
         fn:
             A **module-level** callable ``fn(task, shared) -> result``
-            (workers import it by reference).  ``shared`` is a
-            ``dict[str, np.ndarray]`` or ``None``.
+            (workers import it by reference).
         tasks:
-            The per-chunk arguments, in result order.
+            The per-chunk arguments, in result order.  Each is pickled
+            to the worker that runs it, so keep them small.
         shared:
-            Optional dict of large read-only arrays.  The serial
-            backend passes it through untouched; the process backend
-            exports it to shared memory for the duration of the call.
+            Any object every task reads (default ``None``), passed as
+            ``fn``'s second argument.  The serial backend passes it
+            through untouched; the process backend's workers inherit it
+            when this call forks them, so it must exist when ``map`` is
+            called and is never pickled or copied.  It is read-only by
+            contract: a worker's writes stay in that worker, and the
+            serial backend's would leak into the caller.
         on_result:
             Optional ``on_result(index, value)`` callback invoked for
             each accepted result **in task order** as soon as every
@@ -316,22 +326,20 @@ class ChunkExecutor:
     def _map_process(self, fn, tasks, shared, on_result) -> list:
         if not tasks:
             return []
-        self._ensure_pool()
-        pack = SharedArrayPack(shared) if shared else None
-        descriptor = pack.descriptor if pack is not None else None
         capture = tracing_enabled()
         tracer = current_tracer()
         results = []
-        try:
-            with span(
-                "exec.map",
-                backend=self.backend,
-                workers=self.workers,
-                tasks=len(tasks),
-            ):
+        with span(
+            "exec.map",
+            backend=self.backend,
+            workers=self.workers,
+            tasks=len(tasks),
+        ):
+            try:
+                self._fork_pool(shared)
                 states = [_TaskState(i, t) for i, t in enumerate(tasks)]
                 for st in states:
-                    self._submit(st, fn, descriptor, capture)
+                    self._submit(st, fn, capture)
                 known_pids = self._pool_pids()
                 next_emit = 0
                 while next_emit < len(states):
@@ -344,7 +352,7 @@ class ChunkExecutor:
                     pids = self._pool_pids()
                     if pids != known_pids:
                         REGISTRY.counter("exec.worker_deaths").add()
-                        self._handle_pool_loss(states, "worker_lost")
+                        self._handle_pool_loss(states, "worker_lost", shared)
                         known_pids = self._pool_pids()
                         continue  # step 4 resubmits the invalidated tasks
                     # 2. Hung-task watchdog.
@@ -362,7 +370,7 @@ class ChunkExecutor:
                             # siblings' in-flight work is lost too, but
                             # uncharged — they resubmit for free.
                             self._handle_pool_loss(
-                                states, "timeout", charged=timed_out
+                                states, "timeout", shared, charged=timed_out
                             )
                             known_pids = self._pool_pids()
                             continue
@@ -390,7 +398,7 @@ class ChunkExecutor:
                         ):
                             st.attempt += 1
                             REGISTRY.counter("exec.retries").add()
-                            self._submit(st, fn, descriptor, capture)
+                            self._submit(st, fn, capture)
                             progressed = True
                     # 5. Emit accepted results in task order; merge the
                     # accepted execution's metrics/spans exactly once.
@@ -411,22 +419,20 @@ class ChunkExecutor:
                         progressed = True
                     if not progressed:
                         time.sleep(_POLL_S)
-        except BaseException:
-            # A worker crash (or parent interrupt) may leave tasks in
-            # flight; terminate so the pool cannot touch the shared
-            # segments after they are unlinked below.
-            self.close()
-            raise
-        finally:
-            if pack is not None:
-                pack.close()
+            finally:
+                # Returned or raised (a task out of retries, a parent
+                # interrupt): no worker outlives the call.
+                self.close()
         return results
 
     # -- process-backend internals -------------------------------------
-    def _ensure_pool(self) -> None:
-        if self._pool is None:
-            ctx = multiprocessing.get_context("fork")
-            self._pool = ctx.Pool(self.workers, initializer=_worker_init)
+    def _fork_pool(self, shared) -> None:
+        """(Re)fork the pool; its workers inherit ``shared`` at fork."""
+        self.close()
+        ctx = multiprocessing.get_context("fork")
+        self._pool = ctx.Pool(
+            self.workers, initializer=_worker_init, initargs=(shared,)
+        )
 
     def _pool_pids(self):
         try:
@@ -437,20 +443,20 @@ class ChunkExecutor:
         except Exception:  # pragma: no cover - pool mid-mutation
             return None
 
-    def _submit(self, st: _TaskState, fn, descriptor, capture) -> None:
-        payload = (fn, st.task, descriptor, capture, st.index, st.attempt)
+    def _submit(self, st: _TaskState, fn, capture) -> None:
+        payload = (fn, st.task, capture, st.index, st.attempt)
         st.async_result = self._pool.apply_async(_run_task, (payload,))
         st.submitted_at = time.monotonic()
 
-    def _handle_pool_loss(self, states, kind, charged=None) -> None:
-        """Respawn the pool; charge (or just invalidate) in-flight tasks.
+    def _handle_pool_loss(self, states, kind, shared, charged=None) -> None:
+        """Re-fork the pool; charge (or just invalidate) in-flight tasks.
 
         ``charged=None`` (worker death — the lost task cannot be
         attributed) charges every in-flight task one failure; a list
         charges only those tasks.  A charged task over budget fails
         terminally here.
         """
-        self._respawn_pool()
+        self._fork_pool(shared)
         for st in states:
             if st.done or st.async_result is None:
                 continue
@@ -490,23 +496,17 @@ class ChunkExecutor:
         )
         st.done = True
 
-    def _respawn_pool(self) -> None:
-        if self._pool is not None:
-            try:
-                self._pool.terminate()
-                self._pool.join()
-            except Exception:  # pragma: no cover - teardown race
-                pass
-            self._pool = None
-        self._ensure_pool()
-
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear the process pool down (idempotent; serial is a no-op)."""
+        """Terminate and join the pool, if one is running (idempotent).
+
+        ``map`` calls this before it returns or raises, so afterwards
+        it is a no-op.
+        """
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+            pool, self._pool = self._pool, None
+            pool.terminate()
+            pool.join()
 
     def __enter__(self) -> "ChunkExecutor":
         return self
@@ -514,9 +514,3 @@ class ChunkExecutor:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass

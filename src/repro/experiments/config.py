@@ -55,14 +55,15 @@ class ExperimentConfig:
     k_values / eps_values:
         The privacy grid; ``eps_values`` are *paper* values, rescaled per
         dataset by :func:`scaled_eps` at run time.
-    c, q:
-        Candidate-set multiplier and white-noise level (§7.1 defaults).
+    q:
+        White-noise level (§7.1 default).
     c_chain:
-        Escalation sequence tried in order when ``c`` fails to bracket a
-        feasible σ — the paper's Table 2 resolves such cells with c = 3;
-        our smaller surrogates occasionally need c = 5 for the hardest
-        (flickr, k = 100) cell, for the same structural reason (too few
-        near-hub vertices to blend with).
+        Candidate-set multipliers tried in order, escalating when one
+        fails to bracket a feasible σ: the paper's c = 2, then c = 3, with
+        which its Table 2 resolves such cells; our smaller surrogates
+        occasionally need c = 5 for the hardest (flickr, k = 100) cell,
+        for the same structural reason (too few near-hub vertices to
+        blend with).
     attempts:
         Algorithm-2 tries per σ probe (paper: 5).
     delta:
@@ -85,7 +86,6 @@ class ExperimentConfig:
     scale: float = 1.0
     k_values: tuple[int, ...] = PAPER_K_VALUES
     eps_values: tuple[float, ...] = PAPER_EPS_VALUES
-    c: float = 2.0
     q: float = 0.01
     c_chain: tuple[float, ...] = (2.0, 3.0, 5.0)
     attempts: int = 3

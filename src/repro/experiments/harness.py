@@ -45,34 +45,18 @@ class SweepEntry:
         return self.result.params.c
 
 
-#: Worker-local graph cache: one entry, keyed on the live shared dict
-#: (a new ``map`` call exports a new pack, hence a new dict object).
-_GRAPH_MEMO: tuple | None = None
-
-
-def _shared_graph(shared: dict, dataset: str) -> Graph:
-    """Wrap (once per pack per dataset) the shared CSR arrays, uncopied."""
-    global _GRAPH_MEMO
-    if _GRAPH_MEMO is None or _GRAPH_MEMO[0] is not shared:
-        _GRAPH_MEMO = (shared, {})
-    graphs = _GRAPH_MEMO[1]
-    if dataset not in graphs:
-        graphs[dataset] = Graph._from_csr(
-            shared[f"indptr:{dataset}"], shared[f"indices:{dataset}"]
-        )
-    return graphs[dataset]
-
-
-def _sweep_cell_task(arg, shared) -> ObfuscationResult:
+def _sweep_cell_task(arg, graphs: dict[str, Graph]) -> ObfuscationResult:
     """One grid cell, runnable in any process.
 
-    The cell's generator is its ``SeedSequence.spawn`` child — a pure
-    function of ``(config.seed, len(cells), cell index)`` — so a worker
-    building it from the pickled sequence gets the byte-identical stream
-    the serial loop would hand :func:`obfuscate_with_fallback`.
+    ``graphs`` is the parent's ``{dataset: Graph}`` dict, which a pool
+    worker inherited at fork.  The cell's generator is its
+    ``SeedSequence.spawn`` child — a pure function of ``(config.seed,
+    len(cells), cell index)`` — so a worker building it from the
+    pickled sequence gets the byte-identical stream the serial loop
+    would hand :func:`obfuscate_with_fallback`.
     """
     (dataset, k, paper_eps, eps_used, c_chain, q, attempts, delta, child) = arg
-    graph = _shared_graph(shared, dataset)
+    graph = graphs[dataset]
     with span("sweep_cell", dataset=dataset, k=k, eps=paper_eps) as sp:
         result = obfuscate_with_fallback(
             graph,
@@ -236,37 +220,18 @@ def run_obfuscation_sweep(
         payload, arrays = _result_to_checkpoint(value)
         checkpoint.record(_sweep_cell_key(dataset, k, paper_eps), payload, arrays)
 
-    global _GRAPH_MEMO
-    if executor is not None and getattr(executor, "backend", "serial") == "process":
-        # The config (it caches Graph objects) never crosses the pickle
-        # channel: cells travel as primitives + their seed child, and
-        # each dataset's CSR arrays travel once via shared memory.
-        shared = {}
-        for dataset, graph in graphs.items():
-            shared[f"indptr:{dataset}"] = graph.indptr
-            shared[f"indices:{dataset}"] = graph.indices
+    # Cells travel as primitives plus their seed child; the graphs are
+    # shared, so pool workers inherit them at fork.
+    if executor is not None:
         results = executor.map(
-            _sweep_cell_task, pending_tasks, shared=shared, on_result=_record
+            _sweep_cell_task, pending_tasks, shared=graphs, on_result=_record
         )
     else:
-        # Serial: hand the task the parent's own Graph objects by
-        # prefilling the memo against a sentinel dict.
-        shared = {}
-        _GRAPH_MEMO = (shared, dict(graphs))
-        try:
-            if executor is not None:
-                results = executor.map(
-                    _sweep_cell_task, pending_tasks, shared=shared,
-                    on_result=_record,
-                )
-            else:
-                results = []
-                for j, task in enumerate(pending_tasks):
-                    value = _sweep_cell_task(task, shared)
-                    _record(j, value)
-                    results.append(value)
-        finally:
-            _GRAPH_MEMO = None
+        results = []
+        for j, task in enumerate(pending_tasks):
+            value = _sweep_cell_task(task, graphs)
+            _record(j, value)
+            results.append(value)
     values: list = [restored.get(i) for i in range(len(cells))]
     for j, i in enumerate(pending):
         values[i] = results[j]

@@ -5,7 +5,6 @@ the places where real systems break::
 
     exec.task.pre        worker, before a task body runs
     exec.task.post       worker, after the body, before the result ships
-    exec.shm.attach      worker, before attaching a shared-memory pack
     serve.conn.drop      server, before writing a response line
     io.atomic.truncate   the atomic write helper (simulated torn write)
 

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.exec.plan import draw_rows_per_pass
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, read_only
 from repro.graphs.triangles import LANE_WIDTH
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.uncertain.graph import UncertainGraph
@@ -49,7 +49,8 @@ def draw_packed_keep_bits(rng, worlds: int, m: int, predicate) -> np.ndarray:
     uniform transient (:func:`repro.exec.plan.draw_rows_per_pass`);
     C-order row fill means any grouping consumes the identical RNG
     stream, which is what keeps every batch sampler seed-equivalent to
-    its sequential counterpart.
+    its sequential counterpart.  The bits are read-only, like every
+    array a pool worker inherits.
     """
     rows_per_draw = draw_rows_per_pass(m)
     parts = []
@@ -62,8 +63,10 @@ def draw_packed_keep_bits(rng, worlds: int, m: int, predicate) -> np.ndarray:
             else np.zeros((count, 0), dtype=np.uint8)
         )
     if not parts:
-        return np.zeros((0, (m + 7) // 8), dtype=np.uint8)
-    return np.concatenate(parts, axis=0)
+        parts = [np.zeros((0, (m + 7) // 8), dtype=np.uint8)]
+    packed = np.concatenate(parts, axis=0)
+    read_only(packed)
+    return packed
 
 
 class _UnionIncidence:
@@ -87,23 +90,12 @@ class _UnionIncidence:
         heads = np.concatenate([us, vs]).astype(np.int64, copy=False)
         tails = np.concatenate([vs, us]).astype(np.int64, copy=False)
         order = np.lexsort((tails, heads))
-        self.heads = heads[order]
-        self.tails = tails[order]
-        self.pair = np.concatenate(
+        pair = np.concatenate(
             [np.arange(m, dtype=np.int64)] * 2
         )[order] if m else np.zeros(0, dtype=np.int64)
-
-    @classmethod
-    def from_sorted(
-        cls, heads: np.ndarray, tails: np.ndarray, pair: np.ndarray
-    ) -> "_UnionIncidence":
-        """Adopt already-sorted incidence arrays (e.g. shared-memory
-        views exported by the parent), skipping the per-process lexsort."""
-        self = cls.__new__(cls)
-        self.heads = heads
-        self.tails = tails
-        self.pair = pair
-        return self
+        self.heads, self.tails, self.pair = read_only(
+            heads[order], tails[order], pair
+        )
 
 
 class WorldBatch:
@@ -201,6 +193,7 @@ class WorldBatch:
         packed = np.packbits(keep, axis=1) if keep.size else np.zeros(
             (keep.shape[0], 0), dtype=np.uint8
         )
+        read_only(packed)
         return cls(n, us, vs, packed, keep.shape[1])
 
     # ------------------------------------------------------------------
@@ -225,12 +218,6 @@ class WorldBatch:
     def nbytes(self) -> int:
         """Memory held by the packed keep matrix."""
         return int(self._packed.nbytes)
-
-    @property
-    def packed_bits(self) -> np.ndarray:
-        """The raw ``(W, ⌈m/8⌉)`` packed keep bits (the wire format the
-        execution layer ships to worker processes)."""
-        return self._packed
 
     # ------------------------------------------------------------------
     # views

@@ -52,7 +52,7 @@ from repro.worlds.anf_batch import (
     DISTANCE_STATISTIC_NAMES,
     anf_distance_statistics_batch,
 )
-from repro.worlds.batch import WorldBatch, _UnionIncidence
+from repro.worlds.batch import WorldBatch
 from repro.worlds.stats_batch import (
     clustering_coefficients_batch,
     degree_matrix,
@@ -143,33 +143,16 @@ class BatchStatisticsEngine:
             if group
         ]
 
-    def spec(self) -> tuple:
-        """The family's ``(distance_backend, sample_size, seed)``.
-
-        Valid whenever the engine runs the registry family
-        (``statistics=None`` or a :class:`StatisticFamily`): a worker
-        rebuilding via :meth:`from_spec` gets callables and kernels
-        computing exactly what this engine's do.
-        """
-        family = self._family
-        return (family.distance_backend, family.sample_size, family.seed)
-
-    @classmethod
-    def from_spec(cls, spec: tuple) -> "BatchStatisticsEngine":
-        backend, sample_size, seed = spec
-        return cls(
-            paper_statistics(
-                distance_backend=backend, sample_size=sample_size, seed=seed
-            )
-        )
-
     def _shardable(self, names) -> bool:
-        """Can a worker reproduce this evaluation from :meth:`spec`?
+        """May pool workers evaluate ``names``?
 
-        Requires a registry family with a plain seed and only its own
-        paper names — opaque ``Graph → float`` callables are not
-        reconstructible from a config tuple, so batches carrying them
-        evaluate in the parent instead (correct, just serial).
+        A worker runs its forked copy of this engine, so whatever state
+        an evaluation advances stays in the worker.  That is harmless
+        for a registry family with a plain seed and only its own paper
+        names.  A ``Generator``-seeded family, or an opaque
+        ``Graph → float`` callable, may advance state the parent reads
+        afterwards, so batches carrying them evaluate in the parent
+        (correct, just serial).
         """
         return (
             self._family is not None
@@ -206,14 +189,15 @@ class BatchStatisticsEngine:
             Statistic names (default: every name of the engine).
         executor:
             Optional :class:`~repro.exec.executor.ChunkExecutor`.  With a
-            process backend and a family a worker can rebuild
-            (:meth:`_shardable`), each slice is one pool task against
-            the batch's candidate arrays and sorted union incidence,
-            exported once to shared memory; the structural slices come
-            first so they overlap the ANF ones.  Otherwise — no
-            executor, the serial backend, or opaque callables — the
-            slices run in this process.  The values are bit-identical
-            either way (pinned by ``tests/exec``).
+            process backend and names a worker may evaluate
+            (:meth:`_shardable`), each slice is one pool task
+            ``(group, lo, hi)``: the workers inherit this engine and the
+            batch, with its sorted union incidence built first, when the
+            pool forks; the structural slices come first so they overlap
+            the ANF ones.  Otherwise — no executor, the serial backend,
+            or opaque callables — the slices run in this process.  The
+            values are bit-identical either way (pinned by
+            ``tests/exec``).
         """
         if names is None:
             names = list(self._statistics)
@@ -229,21 +213,9 @@ class BatchStatisticsEngine:
             and executor.backend == "process"
             and self._shardable(names)
         ):
-            union = batch.union_incidence()
-            spec = self.spec()
-            tasks = [
-                (spec, group, batch.packed_bits[lo:hi], batch.num_vertices,
-                 batch.num_candidate_pairs)
-                for group, lo, hi in slices
-            ]
-            shared = {
-                "us": batch._us,
-                "vs": batch._vs,
-                "union_heads": union.heads,
-                "union_tails": union.tails,
-                "union_pair": union.pair,
-            }
-            outs = executor.map(_eval_worlds_task, tasks, shared=shared)
+            # Sort the union once here, so every worker inherits it.
+            batch.union_incidence()
+            outs = executor.map(_eval_worlds_task, slices, shared=(self, batch))
         else:
             outs = [
                 self._evaluate_slice(
@@ -294,36 +266,16 @@ class BatchStatisticsEngine:
             return {name: out[name] for name in names}
 
 
-# ----------------------------------------------------------------------
-# the worker-side task (module-level: shipped by reference)
-# ----------------------------------------------------------------------
-#: Worker-local engine memo — a pool worker serves many slices of the
-#: same run, and the engine (family callables, histogram cache) is
-#: reconstructible from its spec alone.
-_ENGINE_MEMO: dict[tuple, BatchStatisticsEngine] = {}
+def _eval_worlds_task(task, shared):
+    """Pool task: one kernel group's names on worlds ``lo:hi``.
 
-
-def _engine_from_spec(spec: tuple) -> BatchStatisticsEngine:
-    engine = _ENGINE_MEMO.get(spec)
-    if engine is None:
-        engine = _ENGINE_MEMO[spec] = BatchStatisticsEngine.from_spec(spec)
-    return engine
-
-
-def _eval_worlds_task(arg, shared):
-    """Evaluate one kernel group's names on one world slice, against the
-    shared candidate arrays.
-
-    ``shared`` carries the endpoint arrays and the parent's sorted
-    union incidence (built once, exported read-only), so the worker
-    pays neither a pickle of the pair set nor a per-process lexsort.
+    ``task`` is ``(group, lo, hi)``; ``shared`` is the parent's
+    ``(engine, batch)``, which the worker inherited at fork.  A slice,
+    even of every world, keeps the worker's CSR off its inherited batch.
     """
-    spec, names, packed, n, num_pairs = arg
-    batch = WorldBatch(n, shared["us"], shared["vs"], packed, num_pairs)
-    batch._union_cell[0] = _UnionIncidence.from_sorted(
-        shared["union_heads"], shared["union_tails"], shared["union_pair"]
-    )
-    return _engine_from_spec(spec)._evaluate_slice(batch, names)
+    group, lo, hi = task
+    engine, batch = shared
+    return engine._evaluate_slice(batch.slice(lo, hi), group)
 
 
 class WorldStatisticsEstimator:

@@ -42,7 +42,7 @@ from repro.baselines.randomization import (
     _keep_mask,
     sample_added_pairs,
 )
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, read_only
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_probability
@@ -111,15 +111,16 @@ def _sparsification_batch(
 ) -> WorldBatch:
     """One ``(W, m)`` Bernoulli keep pass over the original edges."""
     m = len(edges)
+    us, vs = read_only(edges[:, 0].copy(), edges[:, 1].copy())
     if m == 0:
         # the sequential sampler draws nothing for an edgeless graph
         return WorldBatch.from_keep_matrix(
-            n, edges[:, 0], edges[:, 1], np.zeros((worlds, 0), dtype=bool)
+            n, us, vs, np.zeros((worlds, 0), dtype=bool)
         )
     packed = draw_packed_keep_bits(
         rng, worlds, m, lambda uniforms: uniforms >= p
     )
-    return WorldBatch(n, edges[:, 0].copy(), edges[:, 1].copy(), packed, m)
+    return WorldBatch(n, us, vs, packed, m)
 
 
 def _merge_sorted_unique(union: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -190,8 +191,10 @@ def _assemble_perturbation(
     for w, codes in enumerate(added_codes):
         if len(codes):
             keep[w, m + np.searchsorted(union, codes)] = True
-    us = np.concatenate([edges[:, 0], union // n])
-    vs = np.concatenate([edges[:, 1], union % n])
+    us, vs = read_only(
+        np.concatenate([edges[:, 0], union // n]),
+        np.concatenate([edges[:, 1], union % n]),
+    )
     return WorldBatch.from_keep_matrix(n, us, vs, keep)
 
 

@@ -10,10 +10,15 @@ results compare bit-exactly each time.
 
 Comparators for the repo's three result shapes (summary dicts from the
 estimator, array dicts from ``BatchStatisticsEngine.evaluate``, Table-2
-sweep entry lists) live here too, so new equivalence pins are one-liners.
+sweep entry lists) live here too, so new equivalence pins are one-liners,
+and so does :func:`stray_processes`, the check that a finished ``map``
+left nothing running.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+from multiprocessing import resource_tracker
 
 import numpy as np
 
@@ -40,7 +45,20 @@ def run_grid(build, *, workers=WORKER_GRID):
         else:
             with ChunkExecutor(backend="process", workers=count) as ex:
                 runs.append((f"workers={count}", build(ex)))
+            assert stray_processes() == []
     return runs
+
+
+def stray_processes() -> list:
+    """What a returned or raised process ``map`` must not leave behind.
+
+    Each ``map`` joins the pool it forked, and a fork pool never starts
+    ``multiprocessing``'s resource tracker, so both lists stay empty.
+    """
+    strays = [f"child {p.pid}" for p in multiprocessing.active_children()]
+    if resource_tracker._resource_tracker._fd is not None:
+        strays.append("resource tracker")
+    return strays
 
 
 def assert_seed_equivalent(build, equal, *, workers=WORKER_GRID):

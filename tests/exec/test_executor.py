@@ -1,8 +1,6 @@
-"""The chunk executor: ordering, obs round-trip, shared memory, crashes."""
+"""The chunk executor: ordering, obs round-trip, shared data, crashes."""
 
 from __future__ import annotations
-
-import glob
 
 import numpy as np
 import pytest
@@ -10,6 +8,8 @@ import pytest
 from repro.exec import ChunkExecutor, effective_workers, make_executor
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.obs.trace import disable_tracing, enable_tracing, span
+
+from tests.exec.equivalence import stray_processes
 
 
 # Task functions must be module-level: workers import them by reference.
@@ -44,10 +44,6 @@ def _explode_on_two(task, shared):
     return task
 
 
-def _shm_segments() -> list[str]:
-    return glob.glob("/dev/shm/repro-*")
-
-
 class TestMapContract:
     def test_process_matches_serial_with_shared_arrays(self):
         xs = np.arange(100, dtype=np.float64)
@@ -75,21 +71,15 @@ class TestMapContract:
         [echoed] = ChunkExecutor(backend="serial").map(
             _echo_shared, [0], shared=shared
         )
-        assert echoed is shared  # no copy, no shm export
+        assert echoed is shared  # no copy
 
-    def test_pool_reused_across_maps(self):
-        with ChunkExecutor(backend="process", workers=2) as ex:
-            ex.map(_identity, [1, 2])
-            pool = ex._pool
-            ex.map(_identity, [3, 4])
-            assert ex._pool is pool
-
-    def test_no_shared_memory_leak_after_map(self):
+    def test_each_map_joins_its_pool(self):
         xs = np.arange(1000, dtype=np.float64)
         with ChunkExecutor(backend="process", workers=2) as ex:
-            ex.map(_scale_slice, [(0, 500), (500, 1000)], shared={"xs": xs})
-            assert _shm_segments() == []  # unlinked per map, not per close
-        assert _shm_segments() == []
+            for _ in range(2):
+                ex.map(_scale_slice, [(0, 500), (500, 1000)], shared={"xs": xs})
+                assert ex._pool is None
+                assert stray_processes() == []
 
 
 class TestObsRoundTrip:
@@ -128,18 +118,18 @@ class TestCrashPropagation:
         with ChunkExecutor(backend="process", workers=2) as ex:
             with pytest.raises(RuntimeError, match="task 2 exploded"):
                 ex.map(_explode_on_two, [0, 1, 2, 3])
-            # the map tore the pool down so stranded siblings cannot
-            # touch unlinked segments; the next map rebuilds it
+            # the map joined its pool before raising; the next map
+            # forks a fresh one
             assert ex._pool is None
-            assert _shm_segments() == []
+            assert stray_processes() == []
             assert ex.map(_identity, [7]) == [7]
 
-    def test_crash_with_shared_arrays_unlinks_segments(self):
+    def test_crash_with_shared_data_leaves_no_process(self):
         xs = np.arange(10, dtype=np.float64)
         with ChunkExecutor(backend="process", workers=2) as ex:
             with pytest.raises(RuntimeError):
                 ex.map(_explode_on_two, [2], shared={"xs": xs})
-        assert _shm_segments() == []
+            assert stray_processes() == []
 
 
 class TestConstruction:

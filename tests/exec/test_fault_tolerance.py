@@ -7,8 +7,6 @@ Everything here runs at tiny task counts so the whole module stays in
 CI-smoke time.
 """
 
-import glob
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,8 @@ from repro.resilience import (
     install_fault_plan,
 )
 
+from tests.exec.equivalence import stray_processes
+
 
 def _square(x, shared=None):
     return x * x
@@ -40,10 +40,6 @@ def _rng_draw(seed, shared=None):
 
 def _index_shared(i, shared):
     return float(shared["base"][i])
-
-
-def _shm_leaks():
-    return glob.glob("/dev/shm/repro_*")
 
 
 @pytest.fixture(autouse=True)
@@ -70,17 +66,14 @@ class TestWorkerKill:
         )))
         before = REGISTRY.get("exec.retries")
         ex = make_executor(2, retry=_fast_retry)
-        try:
-            got = ex.map(_rng_draw, seeds)
-        finally:
-            ex.close()
+        got = ex.map(_rng_draw, seeds)
 
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)  # bit-identical despite the kill
         assert REGISTRY.get("exec.worker_deaths") >= 1
         assert REGISTRY.get("exec.retries") > before  # recorded for manifest
-        assert _shm_leaks() == []
+        assert stray_processes() == []
 
     def test_kill_with_shared_arrays(self, _fast_retry):
         install_fault_plan(FaultPlan(rules=(
@@ -88,12 +81,26 @@ class TestWorkerKill:
         )))
         base = np.arange(100, dtype=np.float64)
         ex = make_executor(2, retry=_fast_retry)
-        try:
-            got = ex.map(_index_shared, list(range(6)), shared={"base": base})
-        finally:
-            ex.close()
+        got = ex.map(_index_shared, list(range(6)), shared={"base": base})
         assert got == [float(i) for i in range(6)]
-        assert _shm_leaks() == []
+        assert stray_processes() == []
+
+    def test_respawned_workers_see_the_current_maps_shared(self, _fast_retry):
+        ex = make_executor(2, retry=_fast_retry)
+        tasks = list(range(6))
+        a = np.arange(6, dtype=np.float64)
+        assert ex.map(_index_shared, tasks, shared={"base": a}) == a.tolist()
+        b = a + 100.0  # built after the first map's workers forked
+        install_fault_plan(FaultPlan(rules=(
+            FaultRule(site="exec.task.pre", action="kill", indices=(2,)),
+        )))
+        deaths = REGISTRY.get("exec.worker_deaths")
+        assert ex.map(_index_shared, tasks, shared={"base": b}) == b.tolist()
+        assert REGISTRY.get("exec.worker_deaths") > deaths  # re-forked
+        install_fault_plan(None)
+        c = a + 200.0
+        assert ex.map(_index_shared, tasks, shared={"base": c}) == c.tolist()
+        assert stray_processes() == []
 
     def test_repeated_kills_exhaust_retry_budget(self):
         # attempts=None: the kill chases every retry; the budget must
@@ -108,7 +115,7 @@ class TestWorkerKill:
         with pytest.raises(WorkerLostError):
             ex.map(_square, [1, 2, 3])
         assert ex._pool is None  # close-on-raise contract
-        assert _shm_leaks() == []
+        assert stray_processes() == []
 
 
 class TestTransientErrors:
@@ -118,12 +125,10 @@ class TestTransientErrors:
         )))
         before = REGISTRY.get("exec.retries")
         ex = make_executor(2, retry=_fast_retry)
-        try:
-            got = ex.map(_square, list(range(6)))
-        finally:
-            ex.close()
+        got = ex.map(_square, list(range(6)))
         assert got == [x * x for x in range(6)]
         assert REGISTRY.get("exec.retries") > before
+        assert stray_processes() == []
 
     def test_serial_path_retries_too(self, _fast_retry):
         install_fault_plan(FaultPlan(rules=(
@@ -144,6 +149,7 @@ class TestTransientErrors:
         with pytest.raises(FaultInjected):
             ex.map(_square, [1, 2, 3])
         assert ex._pool is None
+        assert stray_processes() == []
 
 
 class TestQuarantine:
@@ -158,17 +164,14 @@ class TestQuarantine:
             retry=RetryPolicy(max_retries=1, base_delay_s=0.01),
             quarantine=True,
         )
-        try:
-            got = ex.map(_square, [1, 2, 3])
-        finally:
-            ex.close()
+        got = ex.map(_square, [1, 2, 3])
         assert got[0] == 1 and got[2] == 9
         failure = got[1]
         assert isinstance(failure, TaskFailure)
         assert failure.index == 1 and failure.retries >= 1
         assert "FaultInjected" in failure.kind or "fault" in failure.error.lower()
         assert REGISTRY.get("exec.poisoned") > before
-        assert _shm_leaks() == []
+        assert stray_processes() == []
 
     def test_quarantine_serial_path(self):
         install_fault_plan(FaultPlan(rules=(
@@ -192,12 +195,10 @@ class TestTimeouts:
         )))
         before = REGISTRY.get("exec.timeouts")
         ex = make_executor(2, task_timeout_s=0.4, retry=_fast_retry)
-        try:
-            got = ex.map(_square, [1, 2, 3])
-        finally:
-            ex.close()
+        got = ex.map(_square, [1, 2, 3])
         assert got == [1, 4, 9]
         assert REGISTRY.get("exec.timeouts") > before
+        assert stray_processes() == []
 
     def test_persistent_hang_raises_timeout(self):
         install_fault_plan(FaultPlan(rules=(
@@ -212,7 +213,7 @@ class TestTimeouts:
         with pytest.raises(TaskTimeoutError):
             ex.map(_square, [1, 2])
         assert ex._pool is None
-        assert _shm_leaks() == []
+        assert stray_processes() == []
 
 
 class TestOnResult:

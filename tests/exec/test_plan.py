@@ -76,12 +76,12 @@ class TestEvaluateSlices:
 
     @staticmethod
     def _record_slices(monkeypatch):
-        """Record ``(group, packed keep bits)`` of every in-process slice."""
+        """Record ``(group, keep matrix)`` of every in-process slice."""
         seen = []
         inner = BatchStatisticsEngine._evaluate_slice
 
         def recording(self, batch, names):
-            seen.append((list(names), batch.packed_bits.copy()))
+            seen.append((list(names), batch.keep_matrix()))
             return inner(self, batch, names)
 
         monkeypatch.setattr(BatchStatisticsEngine, "_evaluate_slice", recording)
@@ -103,10 +103,10 @@ class TestEvaluateSlices:
             g for g, s in groups for _ in range(0, total, s)
         ]
         for group, _ in groups:
-            parts = [bits for g, bits in seen if g == group]
-            assert all(1 <= len(bits) <= size for bits in parts)
+            parts = [keep for g, keep in seen if g == group]
+            assert all(1 <= len(keep) <= size for keep in parts)
             np.testing.assert_array_equal(
-                np.concatenate(parts), batch.packed_bits
+                np.concatenate(parts), batch.keep_matrix()
             )
 
     def test_pool_runs_the_in_process_slices(self, monkeypatch):
@@ -121,14 +121,20 @@ class TestEvaluateSlices:
 
             def recording_map(fn, tasks, **kwargs):
                 tasks = list(tasks)
-                shipped.extend((list(t[1]), t[2]) for t in tasks)
+                shipped.extend(tasks)
                 return inner(fn, tasks, **kwargs)
 
             monkeypatch.setattr(ex, "map", recording_map)
             pooled = engine.evaluate(batch, _NAMES, executor=ex)
-        assert len(shipped) == len(seen) == 2 * 4
-        for (g_pool, bits_pool), (g_serial, bits_serial) in zip(shipped, seen):
+        # a task is just (group, lo, hi): the workers inherit the batch
+        assert shipped == [
+            (group, lo, min(lo + 3, 10))
+            for group in (["S_NE"], ["S_APD"])
+            for lo in range(0, 10, 3)
+        ]
+        assert len(seen) == len(shipped)
+        for (g_pool, lo, hi), (g_serial, keep_serial) in zip(shipped, seen):
             assert g_pool == g_serial
-            np.testing.assert_array_equal(bits_pool, bits_serial)
+            np.testing.assert_array_equal(batch.keep_matrix()[lo:hi], keep_serial)
         for name in _NAMES:
             np.testing.assert_array_equal(pooled[name], serial[name])

@@ -34,9 +34,14 @@ class TestExperimentConfig:
         assert cfg.k_values == PAPER_K_VALUES == (20, 60, 100)
         assert cfg.eps_values == PAPER_EPS_VALUES == (1e-3, 1e-4)
         assert cfg.q == 0.01
-        assert cfg.c == 2.0
+        assert cfg.c_chain == (2.0, 3.0, 5.0)
         assert cfg.worlds == 100
         assert cfg.baseline_samples == 50
+
+    def test_c_chain_is_the_only_c(self):
+        # A lone c would be silently ignored: the sweep reads c_chain.
+        with pytest.raises(TypeError):
+            ExperimentConfig(c=3.0)
 
     def test_graph_memoised(self):
         cfg = quick_config()

@@ -183,3 +183,44 @@ class TestUnionIncidence:
         assert (np.diff(keys) > 0).all()
         # each candidate pair contributes exactly two directed incidences
         assert len(union.pair) == 2 * batch.num_candidate_pairs
+
+
+class TestReadOnlyInputs:
+    """Every array a pool worker inherits with a batch is read-only, so a
+    kernel that wrote into one in place raises instead of corrupting
+    what the parent and the other worlds read."""
+
+    @staticmethod
+    def _inherited(batch):
+        union = batch.union_incidence()
+        return {
+            "packed": batch._packed,
+            "slice packed": batch.slice(0, 1)._packed,
+            "us": batch._us,
+            "vs": batch._vs,
+            "union heads": union.heads,
+            "union tails": union.tails,
+            "union pair": union.pair,
+        }
+
+    @staticmethod
+    def _batches(uncertain):
+        from repro.graphs.generators import erdos_renyi
+        from repro.worlds.releases import sample_releases
+
+        graph = erdos_renyi(30, 0.2, seed=4)
+        us, vs, ps = uncertain.pair_arrays()
+        keep = np.random.default_rng(0).random((3, len(ps))) < ps
+        yield "sample", WorldBatch.sample(uncertain, 3, seed=0)
+        yield "keep matrix", WorldBatch.from_keep_matrix(
+            uncertain.num_vertices, us, vs, keep
+        )
+        for scheme in ("sparsification", "perturbation"):
+            yield scheme, sample_releases(graph, scheme, 0.3, 3, seed=1)
+
+    def test_worker_inputs_are_frozen(self, small_uncertain):
+        for source, batch in self._batches(small_uncertain):
+            for name, array in self._inherited(batch).items():
+                assert not array.flags.writeable, (source, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
