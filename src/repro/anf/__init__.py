@@ -5,16 +5,10 @@ from repro.anf.distance_stats import (
     neighbourhood_function_to_histogram,
 )
 from repro.anf.hyperanf import NeighbourhoodFunction, hyperanf
-from repro.anf.hyperloglog import (
-    HyperLogLog,
-    estimate_many,
-    init_registers,
-    splitmix64,
-)
-from repro.anf.jackknife import jackknife, jackknife_mean
+from repro.anf.hyperloglog import estimate_many, init_registers, splitmix64
+from repro.anf.jackknife import jackknife
 
 __all__ = [
-    "HyperLogLog",
     "splitmix64",
     "init_registers",
     "estimate_many",
@@ -23,5 +17,4 @@ __all__ = [
     "anf_distance_histogram",
     "neighbourhood_function_to_histogram",
     "jackknife",
-    "jackknife_mean",
 ]

@@ -63,11 +63,6 @@ class NeighbourhoodFunction:
     values: np.ndarray
     converged_at: int
 
-    @property
-    def diameter_lower_bound(self) -> int:
-        """Largest distance at which some ball still grew (S_DiamLB)."""
-        return self.converged_at
-
 
 def hyperanf(
     graph: Graph,

@@ -5,13 +5,9 @@ registers; the union of two sets is the elementwise *max* of their
 registers, which is the property HyperANF exploits to propagate
 reachability balls along edges (Boldi, Rosa, Vigna, WWW'11 [3]).
 
-Two layers are provided:
-
-* :class:`HyperLogLog` — a standalone counter for arbitrary hashable
-  items (add / merge / estimate), used directly in tests and examples;
-* vectorised helpers (:func:`init_registers`, :func:`estimate_many`)
-  operating on an ``(n, m)`` uint8 matrix — one row per graph vertex —
-  which is the layout the HyperANF diffusion kernel needs.
+The helpers here (:func:`init_registers`, :func:`estimate_many`)
+operate on an ``(n, m)`` uint8 matrix — one row per graph vertex —
+which is the layout the HyperANF diffusion kernel needs.
 
 Hashing is splitmix64, implemented with wrap-around uint64 arithmetic,
 so results are deterministic across platforms and seeds are honoured.
@@ -134,58 +130,3 @@ def estimate_many(regs: np.ndarray) -> np.ndarray:
         linear = m * np.log(m / np.maximum(zeros, 1).astype(np.float64))
     out = np.where(small, linear, raw)
     return out
-
-
-class HyperLogLog:
-    """A standalone HyperLogLog counter for hashable items.
-
-    Parameters
-    ----------
-    b:
-        Register-index bits (``m = 2^b`` registers).
-    seed:
-        Hash seed; counters must share a seed to be merged.
-
-    Examples
-    --------
-    >>> hll = HyperLogLog(b=10)
-    >>> for i in range(1000):
-    ...     hll.add(i)
-    >>> 850 < hll.estimate() < 1150   # ~3% typical error at b=10
-    True
-    """
-
-    def __init__(self, *, b: int = 10, seed: int = 0):
-        if not 4 <= b <= 16:
-            raise ValueError(f"b must be in [4, 16], got {b}")
-        self._b = b
-        self._m = 1 << b
-        self._seed = seed
-        self._regs = np.zeros(self._m, dtype=np.uint8)
-
-    @property
-    def registers(self) -> np.ndarray:
-        """The raw register array (read-only copy)."""
-        return self._regs.copy()
-
-    def add(self, item) -> None:
-        """Insert one hashable item."""
-        raw = np.array([hash(item) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        hashed = splitmix64(raw ^ splitmix64(np.array([self._seed], dtype=np.uint64)))
-        bucket = int(hashed[0] & np.uint64(self._m - 1))
-        w = hashed >> np.uint64(self._b)
-        rho = int(_rho(w, 64 - self._b + 1)[0])
-        if rho > self._regs[bucket]:
-            self._regs[bucket] = rho
-
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        """Union with another counter (elementwise register max)."""
-        if other._b != self._b or other._seed != self._seed:
-            raise ValueError("can only merge counters with equal b and seed")
-        merged = HyperLogLog(b=self._b, seed=self._seed)
-        merged._regs = np.maximum(self._regs, other._regs)
-        return merged
-
-    def estimate(self) -> float:
-        """Estimated number of distinct items added."""
-        return float(estimate_many(self._regs[None, :])[0])

@@ -51,9 +51,3 @@ def jackknife(
     centre = loo.mean()
     se = math.sqrt((r - 1) / r * float(((loo - centre) ** 2).sum()))
     return full, se
-
-
-def jackknife_mean(values: Sequence[float]) -> tuple[float, float]:
-    """Jackknife of the sample mean (reduces to the classic SEM formula)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    return jackknife(arr, lambda xs: float(np.mean(xs)))

@@ -1,10 +1,6 @@
 """Attack models and alternative privacy measures (extensions of §2/§8)."""
 
-from repro.attacks.belief import (
-    belief_k_obfuscated,
-    belief_level_from_column,
-    belief_obfuscation_levels,
-)
+from repro.attacks.belief import belief_level_from_column, belief_obfuscation_levels
 from repro.attacks.degree_trail import (
     degree_trails,
     expected_degree_trails,
@@ -16,7 +12,6 @@ from repro.attacks.degree_trail import (
 __all__ = [
     "belief_level_from_column",
     "belief_obfuscation_levels",
-    "belief_k_obfuscated",
     "degree_trails",
     "expected_degree_trails",
     "trail_matches",

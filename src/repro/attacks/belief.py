@@ -51,12 +51,3 @@ def belief_obfuscation_levels(
         for w in np.unique(degrees)
     }
     return np.array([by_degree[int(w)] for w in degrees], dtype=np.float64)
-
-
-def belief_k_obfuscated(
-    posterior: DegreePosterior, degrees: np.ndarray, k: float
-) -> np.ndarray:
-    """Boolean mask under the belief criterion ``max_v Y_ω(v) ≤ 1/k``."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return belief_obfuscation_levels(posterior, degrees) >= k - 1e-9

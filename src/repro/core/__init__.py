@@ -27,12 +27,6 @@ from repro.core.generate import (
     generate_obfuscation,
     select_excluded_vertices,
 )
-from repro.core.generic_posterior import (
-    SampledPropertyPosterior,
-    degree_property,
-    neighbor_degree_property,
-    sample_property_posterior,
-)
 from repro.core.obfuscation_check import (
     DegreePosterior,
     compute_degree_posterior,
@@ -65,7 +59,6 @@ from repro.core.uniqueness import (
     degree_uniqueness,
     gaussian_kernel,
     pair_uniqueness,
-    property_commonness,
     redistribute_sigma_invariant,
 )
 
@@ -81,17 +74,12 @@ __all__ = [
     "ERF_RATIONAL_MAX_ABS_ERROR",
     "poisson_binomial_mean_var",
     "DegreePosterior",
-    "SampledPropertyPosterior",
-    "sample_property_posterior",
-    "degree_property",
-    "neighbor_degree_property",
     "compute_degree_posterior",
     "tolerance_achieved",
     "is_k_eps_obfuscation",
     "gaussian_kernel",
     "degree_commonness",
     "degree_uniqueness",
-    "property_commonness",
     "pair_uniqueness",
     "redistribute_sigma_invariant",
     "truncated_normal_pdf",

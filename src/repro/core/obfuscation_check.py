@@ -75,10 +75,6 @@ class DegreePosterior:
         """Number of degree columns."""
         return self._matrix.shape[1]
 
-    def x_row(self, v: int) -> np.ndarray:
-        """``X_v(·)`` — degree distribution of vertex ``v``."""
-        return self._matrix[v]
-
     def x_column(self, omega: int) -> np.ndarray:
         """Unnormalised column ``X_·(ω)``; zeros if ω is out of range."""
         if not 0 <= omega < self.width:
@@ -112,10 +108,9 @@ class DegreePosterior:
 
         Out-of-range and unattainable (zero-mass) degrees yield 0.0,
         like :meth:`column_entropy`.  One ``(n, |ω|)`` normalise-and-
-        ``x·log2 x`` evaluation replaces a Python loop of per-column
-        :func:`repro.utils.entropy_bits` calls — the Definition-2
-        checker runs once per Algorithm-2 attempt, so this is on the σ
-        search's hot path.
+        ``x·log2 x`` evaluation covers every column, with no Python loop
+        over them — the Definition-2 checker runs once per Algorithm-2
+        attempt, so this is on the σ search's hot path.
         """
         omegas = np.asarray(omegas, dtype=np.int64)
         out = np.zeros(omegas.shape, dtype=np.float64)
@@ -140,12 +135,6 @@ class DegreePosterior:
             )
             out[valid] = entropies
         return out
-
-    def entropy_by_degree(self, degrees: np.ndarray) -> dict[int, float]:
-        """``H(Y_ω)`` for every distinct value in ``degrees``."""
-        distinct = np.unique(np.asarray(degrees, dtype=np.int64))
-        entropies = self.column_entropies(distinct)
-        return {int(w): float(h) for w, h in zip(distinct, entropies)}
 
     def obfuscation_entropies(self, degrees: np.ndarray) -> np.ndarray:
         """Per-vertex entropy ``H(Y_{P(v)})`` for original degrees ``P(v)``."""

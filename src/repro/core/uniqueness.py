@@ -14,13 +14,10 @@ unchanged, and the θ → 0 limit degrades gracefully to exact-match counts
 (the kernel becomes an indicator) instead of overflowing.
 
 For the degree property the computation is a histogram convolution,
-``O(D²)`` for maximum degree D; a generic-property entry point accepts an
-arbitrary distance callable.
+``O(D²)`` for maximum degree D.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -102,54 +99,6 @@ def degree_uniqueness(degrees: np.ndarray, theta: float) -> np.ndarray:
     degrees = np.asarray(degrees, dtype=np.int64)
     commonness = degree_commonness(degrees, theta)
     return 1.0 / commonness[degrees]
-
-
-def property_commonness(
-    values: Sequence,
-    theta: float,
-    distance: Callable[[object, object], float],
-) -> np.ndarray:
-    """Generic-property commonness for arbitrary value domains.
-
-    Evaluates ``C_θ(P(v))`` for every vertex by summing the Gaussian
-    kernel of pairwise distances between *distinct* values, weighted by
-    their multiplicities — ``O(D²)`` distance evaluations for D distinct
-    values.  This is the extension point for properties like the
-    radius-one subgraph (edit distance) mentioned in §5.2.
-
-    Parameters
-    ----------
-    values:
-        ``P(v)`` per vertex; values must be hashable.
-    theta:
-        Kernel width.
-    distance:
-        Symmetric distance ``d(ω, ω') ≥ 0`` on the property domain.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``commonness[v] = C_θ(P(v))`` per vertex.
-    """
-    distinct: list = []
-    counts: list[int] = []
-    index: dict = {}
-    for val in values:
-        if val not in index:
-            index[val] = len(distinct)
-            distinct.append(val)
-            counts.append(0)
-        counts[index[val]] += 1
-    d = len(distinct)
-    dist_matrix = np.zeros((d, d), dtype=np.float64)
-    for i in range(d):
-        for j in range(i + 1, d):
-            dist_matrix[i, j] = dist_matrix[j, i] = float(
-                distance(distinct[i], distinct[j])
-            )
-    kernel = gaussian_kernel(dist_matrix, theta)
-    per_value = kernel @ np.asarray(counts, dtype=np.float64)
-    return np.array([per_value[index[val]] for val in values], dtype=np.float64)
 
 
 def pair_uniqueness(

@@ -24,8 +24,9 @@ bit-for-bit — pinned at 1/2/4 workers by ``tests/exec``.
 **Fault tolerance.**  Because every task is a pure function of its
 index, re-execution is exactness-preserving — so the process backend
 survives crashed and hung workers.  Tasks are dispatched individually
-(``apply_async``) and collected by a poll loop that watches the pool's
-worker PIDs: a SIGKILLed worker changes the PID set, at which point the
+(``apply_async``) and collected by a loop that waits on the next
+result for at most one poll tick and watches the pool's worker PIDs
+between waits: a SIGKILLed worker changes the PID set, at which point the
 pool is re-forked and every in-flight task is resubmitted (a task that
 happened to complete twice is harmless: only the accepted execution's
 result/metrics/spans are merged).  Per-task ``task_timeout_s`` treats a
@@ -418,7 +419,15 @@ class ChunkExecutor:
                         next_emit += 1
                         progressed = True
                     if not progressed:
-                        time.sleep(_POLL_S)
+                        # Block on the task due next, so its result is
+                        # seen as it lands; the bound keeps the death
+                        # and timeout watches above at their cadence.
+                        due = states[next_emit]
+                        if due.async_result is not None:
+                            due.async_result.wait(_POLL_S)
+                        else:  # waiting out its retry backoff
+                            wait_s = due.retry_at - time.monotonic()
+                            time.sleep(min(_POLL_S, max(0.0, wait_s)))
             finally:
                 # Returned or raised (a task out of retries, a parent
                 # interrupt): no worker outlives the call.

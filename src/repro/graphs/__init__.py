@@ -13,48 +13,32 @@ from repro.graphs.datasets import (
 from repro.graphs.generators import (
     affiliation_graph,
     barabasi_albert,
-    configuration_model,
     configuration_model_edges,
-    configuration_model_powerlaw,
     erdos_renyi,
     powerlaw_cluster,
     powerlaw_degree_sequence,
     watts_strogatz,
 )
-from repro.graphs.graph import Graph, all_pairs, pair_index
+from repro.graphs.graph import Graph, pair_index
 from repro.graphs.io import read_edge_list, write_edge_list
-from repro.graphs.traversal import (
-    all_pairs_distances,
-    bfs_distances,
-    connected_components,
-    eccentricity,
-    largest_component_size,
-)
+from repro.graphs.traversal import all_pairs_distances, bfs_distances
 from repro.graphs.triangles import (
-    average_local_clustering,
     centered_triple_count,
     clustering_coefficient,
     connected_triple_count,
-    local_clustering,
     transitivity,
     triangle_count,
 )
 
 __all__ = [
     "Graph",
-    "all_pairs",
     "pair_index",
     "bfs_distances",
     "all_pairs_distances",
-    "connected_components",
-    "largest_component_size",
-    "eccentricity",
     "triangle_count",
     "centered_triple_count",
     "connected_triple_count",
     "clustering_coefficient",
-    "average_local_clustering",
-    "local_clustering",
     "transitivity",
     "erdos_renyi",
     "affiliation_graph",
@@ -62,9 +46,7 @@ __all__ = [
     "powerlaw_cluster",
     "watts_strogatz",
     "powerlaw_degree_sequence",
-    "configuration_model",
     "configuration_model_edges",
-    "configuration_model_powerlaw",
     "DatasetSpec",
     "DATASET_SPECS",
     "dblp_like",

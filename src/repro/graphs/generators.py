@@ -19,7 +19,7 @@ Provided models:
   clustering, which is what the dblp/flickr/Y360 surrogates need.
 * :func:`watts_strogatz` — ring lattice with rewiring (small-world
   control case used in tests).
-* :func:`configuration_model_powerlaw` — degree-targeted stub matching
+* :func:`configuration_model_edges` — degree-targeted stub matching
   with self-loop/multi-edge rejection.
 """
 
@@ -246,28 +246,6 @@ def configuration_model_edges(degrees: np.ndarray, *, seed=None) -> np.ndarray:
     hi = np.maximum(us, vs)
     codes = np.unique(lo * np.int64(n) + hi)
     return np.column_stack([codes // n, codes % n])
-
-
-def configuration_model(degrees: np.ndarray, *, seed=None) -> Graph:
-    """Simple-graph configuration model by stub matching with rejection.
-
-    Pairs of stubs are matched uniformly at random; self loops and
-    parallel edges are discarded, so realised degrees may fall slightly
-    below the targets (standard erased configuration model).  Runs on
-    the vectorised :func:`configuration_model_edges` matching.
-    """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    edges = configuration_model_edges(degrees, seed=seed)
-    return Graph.from_edge_array(len(degrees), edges)
-
-
-def configuration_model_powerlaw(
-    n: int, exponent: float, *, d_min: int = 1, d_max: int | None = None, seed=None
-) -> Graph:
-    """Convenience wrapper: power-law degree sequence + configuration model."""
-    rng = as_rng(seed)
-    degrees = powerlaw_degree_sequence(n, exponent, d_min=d_min, d_max=d_max, seed=rng)
-    return configuration_model(degrees, seed=rng)
 
 
 def affiliation_graph(

@@ -238,10 +238,3 @@ def pair_index(u: int, v: int, n: int) -> int:
         u, v = v, u
     # pairs starting at u' < u: sum_{i<u} (n-1-i); then offset within row
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
-
-
-def all_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """Iterate all unordered vertex pairs of an ``n``-vertex graph."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)

@@ -1,4 +1,4 @@
-"""Breadth-first traversal kernels: distances, components, eccentricities.
+"""Breadth-first traversal kernels: single-source and all-pairs distances.
 
 Every kernel here runs :func:`bfs_distances`, a vectorised frontier BFS
 over the graph's CSR arrays: the per-level neighbour gather is a single
@@ -104,38 +104,3 @@ def all_pairs_distances(
     for i, s in enumerate(sources):
         rows[i] = bfs_distances(graph, int(s))
     return rows
-
-
-def connected_components(graph: Graph) -> np.ndarray:
-    """Label vertices by connected component.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``labels[v]`` is the component id of ``v``; ids are dense,
-        assigned in order of discovery (0-based).
-    """
-    n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for v in range(n):
-        if labels[v] >= 0:
-            continue
-        dist = bfs_distances(graph, v)
-        labels[dist >= 0] = current
-        current += 1
-    return labels
-
-
-def largest_component_size(graph: Graph) -> int:
-    """Size of the largest connected component (0 for the empty graph)."""
-    if graph.num_vertices == 0:
-        return 0
-    labels = connected_components(graph)
-    return int(np.bincount(labels).max())
-
-
-def eccentricity(graph: Graph, v: int) -> int:
-    """Eccentricity of ``v`` restricted to its component (max hop count)."""
-    dist = bfs_distances(graph, v)
-    return int(dist.max())

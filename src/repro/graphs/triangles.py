@@ -197,38 +197,6 @@ def clustering_coefficient(graph: Graph) -> float:
     return t3 / t2
 
 
-def local_clustering(graph: Graph, v: int) -> float:
-    """Local clustering coefficient of ``v``: closed wedge fraction at v.
-
-    ``c_v = #edges among N(v) / C(d_v, 2)``; conventionally 0 for
-    degree < 2 vertices.
-    """
-    nbrs = sorted(graph.neighbors(v))
-    d = len(nbrs)
-    if d < 2:
-        return 0.0
-    links = 0
-    for i, u in enumerate(nbrs):
-        nu = graph.neighbors(u)
-        for w in nbrs[i + 1 :]:
-            if w in nu:
-                links += 1
-    return 2.0 * links / (d * (d - 1))
-
-
-def average_local_clustering(graph: Graph) -> float:
-    """Watts–Strogatz average of :func:`local_clustering` over all vertices.
-
-    Not the paper's S_CC (which is :func:`clustering_coefficient`), but
-    widely reported for the same real datasets, so exposed for
-    cross-referencing published numbers.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return 0.0
-    return sum(local_clustering(graph, v) for v in range(n)) / n
-
-
 def transitivity(graph: Graph) -> float:
     """The common transitivity ``3·T3 / Σ_v C(d_v, 2)`` (networkx-compatible).
 

@@ -25,7 +25,6 @@ from repro.resilience.faults import (
     FaultInjected,
     FaultPlan,
     FaultRule,
-    active_plan,
     fault_point,
     install_fault_plan,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "RetryPolicy",
-    "active_plan",
     "atomic_write_bytes",
     "atomic_write_text",
     "fault_point",

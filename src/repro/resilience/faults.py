@@ -15,9 +15,7 @@ of ``(plan.seed, site, key, index, attempt)`` — no live RNG — so a
 chaos run is replayable and a retried task does not re-trip a
 first-attempt-only kill rule.
 
-Plans travel to subprocesses through the ``REPRO_FAULT_PLAN``
-environment variable (JSON); fork-pool workers inherit the installed
-plan directly.  Actions:
+Fork-pool workers inherit the installed plan at fork.  Actions:
 
 * ``kill``  — ``SIGKILL`` the current process (worker crash).
 * ``delay`` — sleep ``param`` seconds (straggler / race widening).
@@ -29,7 +27,6 @@ plan directly.  Actions:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import signal
 import time
@@ -38,16 +35,12 @@ from dataclasses import dataclass, field
 from repro.obs.metrics import REGISTRY
 
 __all__ = [
-    "ENV_VAR",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
-    "active_plan",
     "fault_point",
     "install_fault_plan",
 ]
-
-ENV_VAR = "REPRO_FAULT_PLAN"
 
 _ACTIONS = ("kill", "delay", "raise", "flag")
 
@@ -116,7 +109,7 @@ def _unit_hash(*parts) -> float:
 
 @dataclass
 class FaultPlan:
-    """A seeded set of :class:`FaultRule`\\ s, JSON-portable."""
+    """A seeded set of :class:`FaultRule`\\ s."""
 
     seed: int = 0
     rules: tuple = ()
@@ -126,40 +119,6 @@ class FaultPlan:
         self.rules = tuple(
             r if isinstance(r, FaultRule) else FaultRule(**r) for r in self.rules
         )
-
-    # -- wire format ---------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "rules": [
-                    {
-                        "site": r.site,
-                        "action": r.action,
-                        "indices": list(r.indices) if r.indices is not None else None,
-                        "attempts": list(r.attempts) if r.attempts is not None else None,
-                        "key": r.key,
-                        "times": r.times,
-                        "probability": r.probability,
-                        "param": r.param,
-                    }
-                    for r in self.rules
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, raw: str) -> "FaultPlan":
-        data = json.loads(raw)
-        rules = []
-        for spec in data.get("rules", ()):
-            spec = dict(spec)
-            for key in ("indices", "attempts"):
-                if spec.get(key) is not None:
-                    spec[key] = tuple(spec[key])
-            rules.append(FaultRule(**spec))
-        return cls(seed=int(data.get("seed", 0)), rules=tuple(rules))
 
     # -- firing --------------------------------------------------------
     def fire(self, site: str, *, key=None, index=None, attempt: int = 0):
@@ -177,33 +136,18 @@ class FaultPlan:
         return None
 
 
-#: The process-wide plan.  ``None`` + env-not-yet-checked is the cold
-#: state; after the first check the hot no-plan path is one global read.
+#: The process-wide plan; ``None`` disarms every site.
 _PLAN: FaultPlan | None = None
-_ENV_LOADED = False
 
 
 def install_fault_plan(plan: FaultPlan | None) -> FaultPlan | None:
     """Install (or with ``None`` clear) the process-wide fault plan.
 
-    An explicit install overrides the ``REPRO_FAULT_PLAN`` environment
-    variable for this process.
+    Fork-pool workers forked after the install inherit it.
     """
-    global _PLAN, _ENV_LOADED
+    global _PLAN
     _PLAN = plan
-    _ENV_LOADED = True
     return plan
-
-
-def active_plan() -> FaultPlan | None:
-    """The installed plan, loading ``REPRO_FAULT_PLAN`` once if unset."""
-    global _PLAN, _ENV_LOADED
-    if not _ENV_LOADED:
-        _ENV_LOADED = True
-        raw = os.environ.get(ENV_VAR)
-        if raw:
-            _PLAN = FaultPlan.from_json(raw)
-    return _PLAN
 
 
 def fault_point(site: str, *, key=None, index=None, attempt: int = 0) -> bool:
@@ -214,11 +158,7 @@ def fault_point(site: str, *, key=None, index=None, attempt: int = 0) -> bool:
     """
     plan = _PLAN
     if plan is None:
-        if _ENV_LOADED:
-            return False
-        plan = active_plan()
-        if plan is None:
-            return False
+        return False
     rule = plan.fire(site, key=key, index=index, attempt=attempt)
     if rule is None:
         return False

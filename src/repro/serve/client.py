@@ -13,14 +13,13 @@ is a pure read over an immutable release, so re-sending a batch is
 always safe.  Application errors (unknown op, bad vertex id) are *not*
 retried — they fail the same way every time.
 
-The open-loop workload generator (``benchmarks/workload.py``) uses the
-asyncio helper :func:`open_connection` directly to keep many requests
-in flight at target QPS.
+The open-loop workload generator (``benchmarks/workload.py``) does not
+use this client: it speaks the line protocol over its own asyncio
+streams to keep many requests in flight at target QPS.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import time
@@ -32,7 +31,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "ServeOverloadedError",
-    "open_connection",
 ]
 
 
@@ -199,10 +197,3 @@ class ServeClient:
                 raise ServeError(payload["error"])
             results.append(payload["result"])
         return results
-
-
-async def open_connection(
-    host: str, port: int
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Asyncio connection to the server (workload-generator plumbing)."""
-    return await asyncio.open_connection(host, port)

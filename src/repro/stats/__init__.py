@@ -17,13 +17,8 @@ from repro.stats.distance import (
     diameter,
     distance_histogram,
     effective_diameter,
-    pairwise_distance_distribution,
 )
-from repro.stats.registry import (
-    PAPER_STATISTIC_NAMES,
-    degree_only_statistics,
-    paper_statistics,
-)
+from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
 from repro.stats.sampling import (
     SampleSummary,
     hoeffding_error_probability,
@@ -45,11 +40,9 @@ __all__ = [
     "effective_diameter",
     "connectivity_length",
     "diameter",
-    "pairwise_distance_distribution",
     "SampleSummary",
     "hoeffding_error_probability",
     "hoeffding_sample_size",
     "PAPER_STATISTIC_NAMES",
     "paper_statistics",
-    "degree_only_statistics",
 ]

@@ -197,8 +197,3 @@ def diameter(hist: DistanceHistogram) -> float:
     if len(nz) == 0:
         return 0.0
     return float(nz[-1])
-
-
-def pairwise_distance_distribution(hist: DistanceHistogram) -> np.ndarray:
-    """``S_PDD`` as pair *fractions* per distance (Figure 2's y-axis)."""
-    return hist.fractions()

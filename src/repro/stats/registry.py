@@ -19,7 +19,6 @@ The ``distance_backend`` choice mirrors the paper's §6.3 discussion:
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
 
 from repro.graphs.graph import Graph
 from repro.graphs.triangles import clustering_coefficient
@@ -189,14 +188,3 @@ def paper_statistics(
         sample_size=sample_size,
         seed=seed,
     )
-
-
-def degree_only_statistics() -> dict[str, Callable[[Graph], float]]:
-    """The cheap degree-based subset (no BFS), for fast sweeps and tests."""
-    return {
-        "S_NE": num_edges,
-        "S_AD": average_degree,
-        "S_MD": max_degree,
-        "S_DV": degree_variance,
-        "S_PL": powerlaw_exponent,
-    }

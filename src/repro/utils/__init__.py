@@ -1,25 +1,14 @@
-"""Shared low-level helpers: seeded RNG plumbing, entropy, validation.
+"""Shared low-level helpers: seeded RNG plumbing and validation.
 
 These utilities are deliberately small and dependency-free (numpy only) so
 that every other subpackage can rely on them without import cycles.
 """
 
-from repro.utils.entropy import entropy_bits, normalize_distribution
-from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    check_vertex,
-)
+from repro.utils.rng import as_rng
+from repro.utils.validation import check_probability, check_vertex
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
-    "entropy_bits",
-    "normalize_distribution",
-    "check_fraction",
-    "check_positive",
     "check_probability",
     "check_vertex",
 ]

@@ -40,9 +40,9 @@ def as_rng(seed=None) -> np.random.Generator:
 def spawn_seed_sequences(seed, n: int) -> list[np.random.SeedSequence]:
     """The ``n`` child :class:`~numpy.random.SeedSequence` roots of ``seed``.
 
-    The counter-based substream derivation under :func:`spawn_rngs`:
-    child ``i`` is ``SeedSequence(seed).spawn(n)[i]``, a pure function
-    of ``(seed, n, i)``.  Because no bit-stream state is consumed, any
+    The counter-based substream derivation: child ``i`` is
+    ``SeedSequence(seed).spawn(n)[i]``, a pure function of
+    ``(seed, n, i)``.  Because no bit-stream state is consumed, any
     process can derive any child independently — which is what lets the
     sweep grid shard cells across workers while staying bit-identical
     to the serial loop (each cell's generator is the same object either
@@ -58,28 +58,3 @@ def spawn_seed_sequences(seed, n: int) -> list[np.random.SeedSequence]:
     else:
         root = np.random.SeedSequence(seed)
     return root.spawn(n)
-
-
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from one seed.
-
-    Used by sampling harnesses that evaluate possible worlds in a loop:
-    each world gets its own child stream, so adding/removing worlds never
-    perturbs the randomness of the others (important for regression tests
-    that pin per-world values).
-
-    Parameters
-    ----------
-    seed:
-        Anything accepted by :func:`as_rng`; a ``Generator`` is consumed
-        to produce a fresh entropy root.
-    n:
-        Number of child generators.
-
-    Returns
-    -------
-    list[numpy.random.Generator]
-    """
-    return [
-        np.random.default_rng(child) for child in spawn_seed_sequences(seed, n)
-    ]

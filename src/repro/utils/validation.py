@@ -16,24 +16,6 @@ def check_probability(value: float, name: str = "probability") -> float:
     return value
 
 
-def check_fraction(value: float, name: str = "fraction") -> float:
-    """Validate a fraction in [0, 1); used for tolerances like ε and q."""
-    value = float(value)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{name} must be in [0, 1), got {value}")
-    return value
-
-
-def check_positive(value: float, name: str = "value", *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative if not strict)."""
-    value = float(value)
-    if strict and value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
 def check_vertex(v: int, n: int, name: str = "vertex") -> int:
     """Validate a vertex id against a graph of ``n`` vertices."""
     v = int(v)

@@ -240,17 +240,6 @@ class WorldBatch:
             bool, copy=False
         )
 
-    def edge_counts(self) -> np.ndarray:
-        """Edges per world — the batched ``S_NE`` column, and a cheap
-        sanity signal (``E[counts] ≈ Σ p(e)``)."""
-        if self._num_pairs == 0:
-            return np.zeros(self._num_worlds, dtype=np.int64)
-        # popcount on the packed bytes: no need to unpack the matrix
-        table = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-            axis=1
-        )
-        return table[self._packed].sum(axis=1).astype(np.int64)
-
     def world_edges(self, w: int) -> np.ndarray:
         """Edges of world ``w`` as an ``(m_w, 2)`` array."""
         mask = self.world_mask(w)

@@ -1,16 +1,9 @@
-"""Tests for the HyperLogLog substrate."""
+"""Tests for the HyperLogLog register helpers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.anf.hyperloglog import (
-    HyperLogLog,
-    estimate_many,
-    init_registers,
-    splitmix64,
-)
+from repro.anf.hyperloglog import estimate_many, init_registers, splitmix64
 
 
 class TestSplitmix:
@@ -28,69 +21,6 @@ class TestSplitmix:
         buckets = (out & np.uint64(63)).astype(int)
         counts = np.bincount(buckets, minlength=64)
         assert counts.min() > 700  # uniform ≈ 1000 per bucket
-
-
-class TestHyperLogLogCounter:
-    def test_empty_estimate_zero(self):
-        assert HyperLogLog(b=8).estimate() == pytest.approx(0.0, abs=1.0)
-
-    def test_duplicates_ignored(self):
-        hll = HyperLogLog(b=8)
-        for _ in range(100):
-            hll.add("same-item")
-        assert hll.estimate() == pytest.approx(1.0, abs=0.5)
-
-    @pytest.mark.parametrize("true_count", [100, 1000, 10000])
-    def test_estimate_accuracy(self, true_count):
-        """Relative error should be within ~4σ of the 1.04/√m guarantee."""
-        hll = HyperLogLog(b=10)
-        for i in range(true_count):
-            hll.add(i)
-        rel_err = abs(hll.estimate() - true_count) / true_count
-        assert rel_err < 4 * 1.04 / np.sqrt(1024)
-
-    def test_merge_is_union(self):
-        a, b = HyperLogLog(b=10), HyperLogLog(b=10)
-        for i in range(500):
-            a.add(i)
-        for i in range(250, 750):
-            b.add(i)
-        merged = a.merge(b)
-        assert merged.estimate() == pytest.approx(750, rel=0.15)
-
-    def test_merge_commutative(self):
-        a, b = HyperLogLog(b=8), HyperLogLog(b=8)
-        for i in range(100):
-            (a if i % 2 else b).add(i)
-        assert np.array_equal(a.merge(b).registers, b.merge(a).registers)
-
-    def test_merge_idempotent(self):
-        a = HyperLogLog(b=8)
-        for i in range(100):
-            a.add(i)
-        assert np.array_equal(a.merge(a).registers, a.registers)
-
-    def test_merge_mismatched_rejected(self):
-        with pytest.raises(ValueError):
-            HyperLogLog(b=8).merge(HyperLogLog(b=10))
-        with pytest.raises(ValueError):
-            HyperLogLog(b=8, seed=1).merge(HyperLogLog(b=8, seed=2))
-
-    def test_invalid_b_rejected(self):
-        with pytest.raises(ValueError):
-            HyperLogLog(b=2)
-
-    @settings(max_examples=20)
-    @given(st.sets(st.integers(min_value=0, max_value=10**9), max_size=200))
-    def test_monotone_in_items_property(self, items):
-        """Adding items never decreases any register."""
-        hll = HyperLogLog(b=6)
-        prev = hll.registers
-        for item in items:
-            hll.add(item)
-            now = hll.registers
-            assert (now >= prev).all()
-            prev = now
 
 
 class TestVectorised:
@@ -120,3 +50,59 @@ class TestVectorised:
     def test_invalid_b(self):
         with pytest.raises(ValueError):
             init_registers(10, b=1)
+
+
+class TestRegisterUnion:
+    """Counter semantics of register rows: the union of two sets is the
+    elementwise max of their rows, which is how HyperANF grows balls."""
+
+    def test_empty_estimate_zero(self):
+        assert estimate_many(np.zeros(256, dtype=np.uint8))[0] == pytest.approx(
+            0.0, abs=1.0
+        )
+
+    def test_duplicates_ignored(self):
+        row = init_registers(5, b=8, seed=2)[3]
+        merged = np.maximum.reduce([row] * 100)
+        assert estimate_many(merged)[0] == pytest.approx(1.0, abs=0.5)
+
+    @pytest.mark.parametrize("true_count", [100, 1000, 10000])
+    def test_estimate_accuracy(self, true_count):
+        """Relative error should be within ~4σ of the 1.04/√m guarantee."""
+        merged = init_registers(true_count, b=10, seed=0).max(axis=0)
+        rel_err = abs(estimate_many(merged)[0] - true_count) / true_count
+        assert rel_err < 4 * 1.04 / np.sqrt(1024)
+
+    def test_merge_is_union(self):
+        regs = init_registers(750, b=10, seed=0)
+        a = regs[:500].max(axis=0)
+        b = regs[250:].max(axis=0)
+        assert estimate_many(np.maximum(a, b))[0] == pytest.approx(750, rel=0.15)
+
+    def test_one_dimensional_row_accepted(self):
+        regs = init_registers(40, b=6, seed=1)
+        merged = regs.max(axis=0)
+        est = estimate_many(merged)
+        assert est.shape == (1,)
+        assert est[0] == estimate_many(merged[None, :])[0]
+
+    def test_wide_dtype_matches_table(self):
+        """The tabulated 2^-r lookup agrees bit-for-bit with np.exp2."""
+        regs = np.maximum.accumulate(init_registers(3000, b=8, seed=4), axis=0)
+        rows = regs[::100]
+        assert np.array_equal(
+            estimate_many(rows), estimate_many(rows.astype(np.int64))
+        )
+
+    def test_seeds_give_independent_noise(self):
+        """Jackknifed runs need distinct but equally accurate estimates."""
+        estimates = [
+            estimate_many(init_registers(2000, b=10, seed=s).max(axis=0))[0]
+            for s in range(6)
+        ]
+        assert len(set(estimates)) > 1
+        assert all(abs(e - 2000) / 2000 < 4 * 1.04 / np.sqrt(1024) for e in estimates)
+
+    def test_b_above_sixteen_rejected(self):
+        with pytest.raises(ValueError):
+            init_registers(10, b=17)

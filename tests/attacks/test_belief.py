@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.belief import (
-    belief_k_obfuscated,
-    belief_level_from_column,
-    belief_obfuscation_levels,
-)
+from repro.attacks.belief import belief_level_from_column, belief_obfuscation_levels
 from repro.core.obfuscation_check import compute_degree_posterior
 
 
@@ -51,21 +47,11 @@ class TestDominance:
 
 
 class TestBeliefKObfuscation:
-    def test_mask(self, fig1a, fig1b):
-        post = compute_degree_posterior(fig1b, method="exact")
-        mask = belief_k_obfuscated(post, fig1a.degrees(), 2)
-        assert not mask[0]  # v1: max belief 0.9 > 1/2
-
-    def test_belief_criterion_stricter_than_entropy(self, fig1a, fig1b):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_belief_criterion_stricter_than_entropy(self, fig1a, fig1b, k):
         """Any belief-k-obfuscated vertex is entropy-k-obfuscated."""
         post = compute_degree_posterior(fig1b, method="exact")
         degrees = fig1a.degrees()
-        for k in (2, 3):
-            belief_mask = belief_k_obfuscated(post, degrees, k)
-            entropy_mask = post.k_obfuscated(degrees, k)
-            assert (entropy_mask | ~belief_mask).all()
-
-    def test_invalid_k(self, fig1a, fig1b):
-        post = compute_degree_posterior(fig1b, method="exact")
-        with pytest.raises(ValueError):
-            belief_k_obfuscated(post, fig1a.degrees(), 0.5)
+        belief_mask = belief_obfuscation_levels(post, degrees) >= k
+        entropy_mask = post.k_obfuscated(degrees, k)
+        assert (entropy_mask | ~belief_mask).all()

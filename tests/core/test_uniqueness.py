@@ -10,7 +10,6 @@ from repro.core.uniqueness import (
     degree_uniqueness,
     gaussian_kernel,
     pair_uniqueness,
-    property_commonness,
 )
 
 
@@ -95,20 +94,15 @@ class TestDegreeUniqueness:
         assert np.isfinite(u).all()
 
 
-class TestPropertyCommonness:
-    def test_matches_degree_specialisation(self):
-        degrees = np.array([1, 2, 2, 5, 7])
-        via_generic = property_commonness(
-            list(degrees), 1.3, lambda a, b: abs(a - b)
-        )
-        via_degree = degree_commonness(degrees, 1.3)[degrees]
-        assert np.allclose(via_generic, via_degree)
-
-    def test_arbitrary_domain(self):
-        values = ["aa", "ab", "zz"]
-        dist = lambda a, b: sum(x != y for x, y in zip(a, b))
-        c = property_commonness(values, 1.0, dist)
-        assert c[0] > c[2]  # 'aa' has a close neighbour 'ab'
+class TestCommonnessDefinition:
+    @pytest.mark.parametrize("theta", [0.0, 1.3, 4.0])
+    def test_matches_pairwise_definition(self, theta):
+        """C_θ(P(v)) = Σ_u K_θ(|P(u) − P(v)|), summed pair by pair."""
+        degrees = np.array([1, 2, 2, 5, 7, 7, 7, 12])
+        pairwise = gaussian_kernel(
+            np.abs(degrees[:, None] - degrees[None, :]), theta
+        ).sum(axis=1)
+        assert np.allclose(degree_commonness(degrees, theta)[degrees], pairwise)
 
 
 class TestRedistribution:

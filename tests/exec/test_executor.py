@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import time
+import types
+
 import numpy as np
 import pytest
 
+import repro.exec.executor as executor_module
 from repro.exec import ChunkExecutor, effective_workers, make_executor
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.obs.trace import disable_tracing, enable_tracing, span
@@ -72,6 +76,24 @@ class TestMapContract:
             _echo_shared, [0], shared=shared
         )
         assert echoed is shared  # no copy
+
+    def test_collection_blocks_on_results_instead_of_sleeping(self, monkeypatch):
+        """With no fault and no backoff, the parent never sleeps out a
+        poll tick: it waits on the next result and sees it as it lands."""
+        sleeps = []
+
+        def recording_sleep(seconds):
+            sleeps.append(seconds)
+            time.sleep(seconds)
+
+        monkeypatch.setattr(
+            executor_module,
+            "time",
+            types.SimpleNamespace(monotonic=time.monotonic, sleep=recording_sleep),
+        )
+        with ChunkExecutor(backend="process", workers=2) as ex:
+            assert ex.map(_identity, [0, 1, 2, 3]) == [0, 1, 2, 3]
+        assert sleeps == []
 
     def test_each_map_joins_its_pool(self):
         xs = np.arange(1000, dtype=np.float64)

@@ -6,14 +6,14 @@ import pytest
 from repro.graphs.generators import (
     affiliation_graph,
     barabasi_albert,
-    configuration_model,
     configuration_model_edges,
-    configuration_model_powerlaw,
     erdos_renyi,
     powerlaw_cluster,
     powerlaw_degree_sequence,
     watts_strogatz,
 )
+from repro.graphs.graph import Graph
+from repro.graphs.traversal import bfs_distances
 from repro.graphs.triangles import transitivity
 
 
@@ -83,10 +83,8 @@ class TestPowerlawCluster:
         assert high > low
 
     def test_connected_growth(self):
-        from repro.graphs.traversal import largest_component_size
-
         g = powerlaw_cluster(200, 2, 0.5, seed=3)
-        assert largest_component_size(g) == 200
+        assert (bfs_distances(g, 0) >= 0).all()
 
     def test_invalid_triad_p(self):
         with pytest.raises(ValueError):
@@ -141,21 +139,23 @@ class TestDegreeSequence:
 class TestConfigurationModel:
     def test_degrees_bounded_by_targets(self):
         targets = np.array([3, 3, 2, 2, 1, 1])
-        g = configuration_model(targets, seed=0)
+        edges = configuration_model_edges(targets, seed=0)
+        g = Graph.from_edge_array(len(targets), edges)
         assert (g.degrees() <= targets).all()
 
-    def test_odd_sum_rejected(self):
-        with pytest.raises(ValueError):
-            configuration_model(np.array([1, 1, 1]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            configuration_model(np.array([2, -1, 1]))
-
-    def test_powerlaw_wrapper(self):
-        g = configuration_model_powerlaw(300, 2.5, seed=4)
+    def test_powerlaw_sequence_builds_graph(self):
+        """The paper-scale builder's pipeline: a power-law sequence, wired."""
+        targets = powerlaw_degree_sequence(300, 2.5, seed=4)
+        g = Graph.from_edge_array(300, configuration_model_edges(targets, seed=4))
         assert g.num_vertices == 300
         assert g.num_edges > 0
+        assert (g.degrees() <= targets).all()
+
+    def test_graph_keeps_every_edge(self):
+        edges = configuration_model_edges(np.array([3, 3, 2, 2, 1, 1]), seed=0)
+        g = Graph.from_edge_array(6, edges)
+        assert g.num_edges == len(edges)
+        np.testing.assert_array_equal(g.edge_array(), edges)
 
 
 class TestAffiliationGraph:
@@ -213,13 +213,6 @@ class TestConfigurationModelEdges:
         assert (edges[:, 0] < edges[:, 1]).all()
         codes = edges[:, 0] * 200 + edges[:, 1]
         assert (np.diff(codes) > 0).all()
-
-    def test_graph_wrapper_agrees(self):
-        degrees = np.array([3, 3, 2, 2, 1, 1])
-        g = configuration_model(degrees, seed=0)
-        edges = configuration_model_edges(degrees, seed=0)
-        assert g.num_edges == len(edges)
-        assert (g.degrees() <= degrees).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,7 @@ import pytest
 
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import (
-    all_pairs_distances,
-    bfs_distances,
-    connected_components,
-    eccentricity,
-    largest_component_size,
-)
+from repro.graphs.traversal import all_pairs_distances, bfs_distances
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -87,44 +81,32 @@ class TestAllPairs:
         assert mat[1, 0] == 3
 
 
-class TestComponents:
-    def test_single_component(self, triangle):
-        labels = connected_components(triangle)
-        assert len(set(labels)) == 1
+class TestReachability:
+    """Vertices with a non-negative BFS distance form the source's component."""
 
-    def test_multiple(self, two_components):
-        labels = connected_components(two_components)
-        assert labels[0] == labels[1]
-        assert labels[2] == labels[3]
-        assert len({labels[0], labels[2], labels[4]}) == 3
+    def test_connected_graph_reaches_every_vertex(self, triangle):
+        assert (bfs_distances(triangle, 0) >= 0).all()
 
-    def test_against_networkx(self):
+    def test_components_against_networkx(self):
         g = erdos_renyi(80, 0.02, seed=9)
-        ours = connected_components(g)
-        theirs = list(nx.connected_components(to_networkx(g)))
-        assert len(set(ours)) == len(theirs)
-        for comp in theirs:
-            comp = list(comp)
-            assert len({ours[v] for v in comp}) == 1
-
-    def test_largest_component_size(self, two_components):
-        assert largest_component_size(two_components) == 2
-
-    def test_largest_component_empty(self):
-        assert largest_component_size(Graph(0)) == 0
+        nxg = to_networkx(g)
+        assert nx.number_connected_components(nxg) > 1
+        for v in range(80):
+            reached = set(np.flatnonzero(bfs_distances(g, v) >= 0).tolist())
+            assert reached == nx.node_connected_component(nxg, v)
 
 
 class TestEccentricity:
-    def test_path_end(self, path4):
-        assert eccentricity(path4, 0) == 3
+    """The largest finite BFS distance is the source's eccentricity."""
 
-    def test_path_middle(self, path4):
-        assert eccentricity(path4, 1) == 2
+    def test_path(self, path4):
+        ecc = [int(bfs_distances(path4, v).max()) for v in range(4)]
+        assert ecc == [3, 2, 2, 3]
 
     def test_against_networkx(self):
-        g = erdos_renyi(50, 0.15, seed=21)
+        g = powerlaw_cluster(60, 2, 0.3, seed=21)
         nxg = to_networkx(g)
-        if nx.is_connected(nxg):
-            ecc = nx.eccentricity(nxg)
-            for v in (0, 10, 25):
-                assert eccentricity(g, v) == ecc[v]
+        assert nx.is_connected(nxg)
+        theirs = nx.eccentricity(nxg)
+        for v in range(60):
+            assert int(bfs_distances(g, v).max()) == theirs[v]

@@ -6,12 +6,10 @@ import pytest
 from repro.graphs.generators import erdos_renyi, powerlaw_cluster
 from repro.graphs.graph import Graph
 from repro.graphs.triangles import (
-    average_local_clustering,
     centered_triple_count,
     clustering_coefficient,
     connected_triple_count,
     count_triangles,
-    local_clustering,
     transitivity,
     triangle_count,
 )
@@ -149,23 +147,3 @@ class TestClustering:
         if w > 2 * t3:
             expected = t3 / (w - 2 * t3)
             assert clustering_coefficient(g) == pytest.approx(expected)
-
-
-class TestLocalClustering:
-    def test_low_degree_zero(self, path4):
-        assert local_clustering(path4, 0) == 0.0
-
-    def test_triangle_vertex(self, triangle):
-        assert local_clustering(triangle, 0) == pytest.approx(1.0)
-
-    def test_against_networkx(self):
-        g = erdos_renyi(50, 0.15, seed=6)
-        theirs = nx.clustering(to_networkx(g))
-        for v in range(0, 50, 7):
-            assert local_clustering(g, v) == pytest.approx(theirs[v])
-
-    def test_average_against_networkx(self):
-        g = powerlaw_cluster(100, 2, 0.7, seed=1)
-        assert average_local_clustering(g) == pytest.approx(
-            nx.average_clustering(to_networkx(g))
-        )

@@ -1,16 +1,13 @@
 """Fault-injection harness unit tests: determinism, matching, actions."""
 
-import json
-import os
+import multiprocessing
 
 import pytest
 
 from repro.resilience.faults import (
-    ENV_VAR,
     FaultInjected,
     FaultPlan,
     FaultRule,
-    active_plan,
     fault_point,
     install_fault_plan,
 )
@@ -51,15 +48,6 @@ class TestFaultRule:
 
 
 class TestFaultPlan:
-    def test_json_round_trip(self):
-        plan = FaultPlan(seed=7, rules=(
-            FaultRule(site="exec.task.pre", action="kill", indices=(2,)),
-            FaultRule(site="serve.conn.drop", action="flag",
-                      attempts=None, times=1, probability=0.5, param=1.5),
-        ))
-        clone = FaultPlan.from_json(plan.to_json())
-        assert clone.seed == plan.seed and clone.rules == plan.rules
-
     def test_times_caps_firings(self):
         plan = FaultPlan(rules=(
             FaultRule(site="s", action="flag", attempts=None, times=2),
@@ -86,6 +74,19 @@ class TestFaultPoint:
     def test_no_plan_is_noop(self):
         assert fault_point("exec.task.pre", index=0) is False
 
+    def test_uninstall_restores_noop(self):
+        install_fault_plan(FaultPlan(rules=(FaultRule(site="s", action="flag",
+                                                      attempts=None),)))
+        assert fault_point("s") is True
+        install_fault_plan(None)
+        assert fault_point("s") is False
+
+    def test_fork_child_inherits_installed_plan(self):
+        install_fault_plan(FaultPlan(rules=(FaultRule(site="s", action="flag",
+                                                      attempts=None),)))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(fault_point, ("s",)) is True
+
     def test_raise_action(self):
         install_fault_plan(FaultPlan(rules=(
             FaultRule(site="exec.task.pre", action="raise", indices=(1,)),
@@ -103,21 +104,6 @@ class TestFaultPoint:
         assert fault_point("serve.conn.drop") is True
         assert fault_point("serve.conn.drop") is False  # times=1 spent
 
-    def test_env_var_plan(self):
-        plan = FaultPlan(rules=(FaultRule(site="s", action="flag"),))
-        os.environ[ENV_VAR] = plan.to_json()
-        try:
-            install_fault_plan(None)
-            # Force the lazy env reload path.
-            import repro.resilience.faults as faults
-
-            faults._ENV_LOADED = False
-            loaded = active_plan()
-            assert loaded is not None and loaded.rules == plan.rules
-            assert fault_point("s") is True
-        finally:
-            del os.environ[ENV_VAR]
-
     def test_fault_injected_pickles_cleanly(self):
         import pickle
 
@@ -125,9 +111,3 @@ class TestFaultPoint:
         clone = pickle.loads(pickle.dumps(exc))
         assert clone.site == "exec.task.post" and clone.key == "k0"
         assert str(clone) == str(exc)
-
-    def test_plan_json_is_stable(self):
-        plan = FaultPlan(seed=3, rules=(FaultRule(site="s"),))
-        assert json.loads(plan.to_json()) == json.loads(
-            FaultPlan.from_json(plan.to_json()).to_json()
-        )

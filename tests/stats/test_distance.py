@@ -13,7 +13,6 @@ from repro.stats.distance import (
     diameter,
     distance_histogram,
     effective_diameter,
-    pairwise_distance_distribution,
 )
 
 
@@ -116,7 +115,7 @@ class TestScalarStats:
         assert connectivity_length(hist) == float("inf")
 
     def test_pdd_fractions_sum_to_connected_share(self, two_components):
-        pdd = pairwise_distance_distribution(distance_histogram(two_components))
+        pdd = distance_histogram(two_components).fractions()
         assert pdd.sum() == pytest.approx(0.2)
 
 

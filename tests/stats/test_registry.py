@@ -3,11 +3,7 @@
 import pytest
 
 from repro.graphs.generators import powerlaw_cluster
-from repro.stats.registry import (
-    PAPER_STATISTIC_NAMES,
-    degree_only_statistics,
-    paper_statistics,
-)
+from repro.stats.registry import PAPER_STATISTIC_NAMES, paper_statistics
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +61,9 @@ class TestRegistry:
         rest = time.perf_counter() - t0
         assert rest < max(first, 0.001) * 2  # cached calls are near-free
 
-    def test_degree_only_subset(self, graph):
-        stats = degree_only_statistics()
-        assert "S_APD" not in stats
+    def test_degree_statistics_values(self, graph):
+        stats = paper_statistics()
+        degrees = graph.degrees()
         assert stats["S_NE"](graph) == float(graph.num_edges)
+        assert stats["S_AD"](graph) == pytest.approx(degrees.mean())
+        assert stats["S_MD"](graph) == float(degrees.max())

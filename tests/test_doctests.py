@@ -8,7 +8,6 @@ import doctest
 
 import pytest
 
-import repro.anf.hyperloglog
 import repro.core.search
 import repro.graphs.graph
 import repro.stats.sampling
@@ -20,7 +19,6 @@ MODULES = [
     repro.uncertain.sampling,
     repro.core.search,
     repro.stats.sampling,
-    repro.anf.hyperloglog,
     repro.worlds.estimator,
 ]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_rng, spawn_seed_sequences
 
 
 class TestAsRng:
@@ -33,37 +33,39 @@ class TestAsRng:
         assert np.array_equal(a, b)
 
 
-class TestSpawnRngs:
+class TestSpawnSeedSequences:
     def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
+        assert len(spawn_seed_sequences(0, 5)) == 5
 
     def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
+        assert spawn_seed_sequences(0, 0) == []
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
+            spawn_seed_sequences(0, -1)
 
     def test_children_independent(self):
-        kids = spawn_rngs(0, 3)
-        draws = [k.random(4) for k in kids]
+        draws = [_draws(child, 4) for child in spawn_seed_sequences(0, 3)]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
 
     def test_deterministic_from_int_seed(self):
-        a = [g.random(3) for g in spawn_rngs(9, 3)]
-        b = [g.random(3) for g in spawn_rngs(9, 3)]
+        a = [_draws(child, 3) for child in spawn_seed_sequences(9, 3)]
+        b = [_draws(child, 3) for child in spawn_seed_sequences(9, 3)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_prefix_stability(self):
         """Child i is identical regardless of how many siblings follow."""
-        a = spawn_rngs(3, 2)[0].random(4)
-        b = spawn_rngs(3, 6)[0].random(4)
+        a = _draws(spawn_seed_sequences(3, 2)[0], 4)
+        b = _draws(spawn_seed_sequences(3, 6)[0], 4)
         assert np.array_equal(a, b)
 
     def test_generator_seed_consumes_stream(self):
-        gen = np.random.default_rng(11)
-        kids1 = spawn_rngs(gen, 2)
-        kids2 = spawn_rngs(np.random.default_rng(11), 2)
-        assert np.array_equal(kids1[0].random(3), kids2[0].random(3))
+        kids1 = spawn_seed_sequences(np.random.default_rng(11), 2)
+        kids2 = spawn_seed_sequences(np.random.default_rng(11), 2)
+        assert np.array_equal(_draws(kids1[0], 3), _draws(kids2[0], 3))
+
+
+def _draws(child, size):
+    return np.random.default_rng(child).random(size)

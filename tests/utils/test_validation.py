@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    check_vertex,
-)
+from repro.utils.validation import check_probability, check_vertex
 
 
 class TestCheckProbability:
@@ -24,34 +19,9 @@ class TestCheckProbability:
         with pytest.raises(ValueError, match="myprob"):
             check_probability(2.0, "myprob")
 
-
-class TestCheckFraction:
-    def test_accepts_zero(self):
-        assert check_fraction(0.0) == 0.0
-
-    def test_rejects_one(self):
+    def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            check_fraction(1.0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_fraction(-0.1)
-
-
-class TestCheckPositive:
-    def test_strict_accepts_positive(self):
-        assert check_positive(0.1) == 0.1
-
-    def test_strict_rejects_zero(self):
-        with pytest.raises(ValueError):
-            check_positive(0.0)
-
-    def test_nonstrict_accepts_zero(self):
-        assert check_positive(0.0, strict=False) == 0.0
-
-    def test_nonstrict_rejects_negative(self):
-        with pytest.raises(ValueError):
-            check_positive(-1.0, strict=False)
+            check_probability(float("nan"))
 
 
 class TestCheckVertex:
@@ -68,3 +38,7 @@ class TestCheckVertex:
 
     def test_coerces_to_int(self):
         assert check_vertex(2.0, 5) == 2
+
+    def test_message_names_parameter(self):
+        with pytest.raises(ValueError, match="target"):
+            check_vertex(9, 5, "target")
