@@ -12,10 +12,7 @@ Submodules map onto the paper's sections:
 
 from repro.core.degree_distribution import (
     AUTO_EXACT_LIMIT,
-    ERF_RATIONAL_MAX_ABS_ERROR,
     degree_pmf,
-    erf_array,
-    erf_rational,
     normal_approx_pmf,
     poisson_binomial_mean_var,
     poisson_binomial_pmf,
@@ -38,8 +35,6 @@ from repro.core.posterior_batch import (
     normal_approx_pmf_batch,
 )
 from repro.core.perturbation import (
-    erfinv_array,
-    erfinv_newton,
     pair_stream_uniforms,
     perturbations_from_uniforms,
     truncated_normal_cdf,
@@ -69,9 +64,6 @@ __all__ = [
     "normal_approx_pmf_batch",
     "degree_pmf",
     "degree_posterior_matrix",
-    "erf_array",
-    "erf_rational",
-    "ERF_RATIONAL_MAX_ABS_ERROR",
     "poisson_binomial_mean_var",
     "DegreePosterior",
     "compute_degree_posterior",
@@ -86,8 +78,6 @@ __all__ = [
     "truncated_normal_cdf",
     "truncated_normal_mean",
     "truncated_normal_ppf",
-    "erfinv_array",
-    "erfinv_newton",
     "pair_stream_uniforms",
     "perturbations_from_uniforms",
     "generate_obfuscation",

@@ -10,7 +10,10 @@ paper offers two computation paths, both implemented here:
   for a total cost quadratic in the number of incident pairs.
 * **Normal approximation** (Central Limit Theorem): ``N(μ, σ²)`` with
   ``μ = Σ p_i`` and ``σ² = Σ p_i (1-p_i)``, integrated over unit bins
-  ``[ω-1/2, ω+1/2]``.
+  ``[ω-1/2, ω+1/2]``.  The bin edges go through ``scipy.special.erf``,
+  the package's only ``erf``: a posterior, and the Definition-2
+  certificate built on it, must not depend on which libraries an
+  install happens to have.
 
 ``method="auto"`` uses the exact DP for small supports and switches to
 the CLT for vertices with many incident candidate pairs — the same
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import erf
 
 #: Number of Bernoulli addends beyond which ``method="auto"`` switches
 #: from the exact DP to the CLT approximation.  The paper cites n ≈ 30 as
@@ -30,55 +34,6 @@ import numpy as np
 AUTO_EXACT_LIMIT = 64
 
 _SQRT2 = math.sqrt(2.0)
-
-#: Maximum absolute error of :func:`erf_rational` (Abramowitz–Stegun
-#: 7.1.26); the fallback tests pin against SciPy at this bound.
-ERF_RATIONAL_MAX_ABS_ERROR = 1.5e-7
-
-# A&S 7.1.26 coefficients: erf(x) ≈ 1 − (a₁t + … + a₅t⁵)·e^{−x²} with
-# t = 1/(1 + p·x) for x ≥ 0, |error| ≤ 1.5e-7.
-_AS_P = 0.3275911
-_AS_COEFFS = (1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592)
-
-
-def erf_rational(x: np.ndarray) -> np.ndarray:
-    """Vectorised rational ``erf`` approximation (A&S 7.1.26, ≤1.5e-7).
-
-    The no-SciPy fallback behind :func:`erf_array`: a Horner evaluation
-    in ``t = 1/(1 + p·|x|)`` plus one ``exp`` — a handful of float64
-    array passes instead of the former ``np.frompyfunc(math.erf)``
-    object loop, whose per-element Python calls made the batched CLT
-    posterior fall off a cliff on SciPy-less installs.  Odd symmetry handles negative inputs;
-    ``±inf`` maps to ``±1`` and NaN propagates.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x)
-    t = 1.0 / (1.0 + _AS_P * a)
-    poly = np.full_like(t, _AS_COEFFS[0])
-    for coeff in _AS_COEFFS[1:]:
-        poly = poly * t + coeff
-    with np.errstate(under="ignore"):
-        # a = inf gives exp(-inf) = 0 → erf(±inf) = ±1 without a mask.
-        magnitude = 1.0 - poly * t * np.exp(-(a * a))
-    return np.copysign(magnitude, x)
-
-
-try:  # SciPy ships a C-loop erf ufunc; the rational fallback keeps the
-    from scipy.special import erf as _erf_ufunc  # dependency optional.
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _erf_ufunc = erf_rational
-
-
-def erf_array(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``erf`` over an array (SciPy ufunc when available).
-
-    Without SciPy the call lands on :func:`erf_rational` (A&S 7.1.26,
-    ≤1.5e-7 absolute) — accurate enough for the CLT degree posterior,
-    whose continuity-corrected bins are themselves an O(1/√ℓ)
-    approximation, and ~100× faster than the former ``math.erf`` object
-    loop.
-    """
-    return np.asarray(_erf_ufunc(x), dtype=np.float64)
 
 
 def poisson_binomial_pmf(probs: np.ndarray) -> np.ndarray:
@@ -145,7 +100,7 @@ def normal_approx_pmf(probs: np.ndarray, *, support: int | None = None) -> np.nd
         return pmf
     sigma = math.sqrt(var)
     edges = (np.arange(size + 2, dtype=np.float64) - 0.5 - mu) / (sigma * _SQRT2)
-    cdf = 0.5 * (1.0 + erf_array(edges))
+    cdf = 0.5 * (1.0 + erf(edges))
     cdf[0] = 0.0  # close the left tail into bin 0
     cdf[-1] = 1.0  # close the right tail into the last bin
     pmf = np.diff(cdf)

@@ -577,7 +577,9 @@ class SearchContext:
             )
         q_probs = q_weights / total_weight
         # μ_Q — the pair-keyed draws' Eq. 7 normaliser (see SigmaSetup).
-        q_mean_uniqueness = float(q_probs @ uniqueness)
+        # A BLAS dot splits its sum over threads, so its bits would follow
+        # the thread count; NumPy's pairwise sum does not.
+        q_mean_uniqueness = float((q_probs * uniqueness).sum())
         # Feasibility: E_C can grow at most to |E| plus the non-edges
         # available among V \ H.  The paper's |E| ≪ |V2|/2 assumption
         # makes this always hold on real social graphs; tiny dense

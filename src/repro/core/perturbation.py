@@ -11,9 +11,12 @@ global budget into per-pair ``σ(e)`` values (Eq. 7).  Two parts serve
 those pair-keyed draws:
 
 * an **inverse-CDF sampler** (:func:`truncated_normal_ppf`, called as
-  :func:`perturbations_from_uniforms`, on top of :func:`erfinv_array`)
-  that maps one uniform per pair straight through ``R_σ⁻¹`` in a single
-  vectorised pass.  ``σ = 0`` yields exactly 0 (no perturbation), and
+  :func:`perturbations_from_uniforms`, on top of
+  ``scipy.special.erfinv``) that maps one uniform per pair straight
+  through ``R_σ⁻¹`` in a single vectorised pass.  SciPy's ``erf`` and
+  ``erfinv`` are the only ones the package uses, so the release a seed
+  publishes cannot depend on which libraries an install happens to
+  have.  ``σ = 0`` yields exactly 0 (no perturbation), and
   ``σ ≥ UNIFORM_THRESHOLD`` passes the uniform through: at σ = 8 the
   density ratio between the endpoints is ``exp(-1/128) ≈ 0.992``, so
   the truncated normal is within 0.8% of uniform;
@@ -30,8 +33,7 @@ import math
 import zlib
 
 import numpy as np
-
-from repro.core.degree_distribution import erf_array
+from scipy.special import erf, erfinv
 
 #: σ above which R_σ is replaced by the uniform distribution (see module
 #: docstring for the accuracy argument).
@@ -79,103 +81,6 @@ def truncated_normal_mean(sigma: float) -> float:
 # Inverse-CDF sampling (the pair-keyed stream's one-pass sampler)
 # ---------------------------------------------------------------------------
 
-_SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
-
-#: Newton refinement rounds in :func:`erfinv_newton`.  The polynomial
-#: initial guess is accurate to ~1e-7; each Newton step on the exact
-#: ``erf`` squares the error, so two rounds reach ~1e-14 and the third
-#: pins the result at the accuracy of the underlying ``erf_array``
-#: (machine precision with SciPy, ≤1.5e-7 with the rational fallback).
-_ERFINV_NEWTON_ROUNDS = 3
-
-try:  # SciPy ships a C-loop erfinv; the Newton fallback keeps the
-    from scipy.special import erfinv as _erfinv_ufunc  # dependency optional.
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _erfinv_ufunc = None
-
-
-def erfinv_newton(y: np.ndarray) -> np.ndarray:
-    """Elementwise inverse error function — pure-NumPy Newton path.
-
-    A polynomial initial guess (Giles, "Approximating the erfinv
-    function", GPU Computing Gems 2010 — central/tail branches on
-    ``w = -ln(1-y²)``) is polished by :data:`_ERFINV_NEWTON_ROUNDS`
-    Newton steps on :func:`repro.core.degree_distribution.erf_array`:
-    ``x ← x - (erf(x) - y)·(√π/2)·exp(x²)``.  With SciPy's ``erf`` the
-    result matches ``scipy.special.erfinv`` to ≤1e-12 for
-    ``|y| ≤ 1 - 1e-4`` and the roundtrip ``erf(erfinv(y)) = y`` holds to
-    a few ulps everywhere ``erf`` is unsaturated (pinned by the sampler
-    tests); deeper in the tail the residual ``erf(x) - y`` cancels
-    catastrophically and accuracy degrades as ``~1e-16·exp(x²)`` — the
-    information-theoretic limit of inverting float64 ``erf`` without an
-    ``erfc`` channel.  ``y = ±1`` maps to ``±inf`` and ``|y| > 1`` to
-    NaN, mirroring SciPy.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    a = np.abs(y)
-    out = np.full(y.shape, np.nan, dtype=np.float64)
-    boundary = a == 1.0
-    out[boundary] = np.sign(y[boundary]) * np.inf
-    inner = a < 1.0
-    if not inner.any():
-        return out
-    x = y[inner]
-    with np.errstate(divide="ignore"):
-        w = -np.log1p(-(x * x))
-    central = w < 5.0
-    wc = np.where(central, w - 2.5, 0.0)
-    pc = np.full_like(wc, 2.81022636e-08)
-    for coeff in (
-        3.43273939e-07,
-        -3.5233877e-06,
-        -4.39150654e-06,
-        0.00021858087,
-        -0.00125372503,
-        -0.00417768164,
-        0.246640727,
-        1.50140941,
-    ):
-        pc = coeff + pc * wc
-    wt = np.where(central, 9.0, w)
-    wt = np.sqrt(wt) - 3.0
-    pt = np.full_like(wt, -0.000200214257)
-    for coeff in (
-        0.000100950558,
-        0.00134934322,
-        -0.00367342844,
-        0.00573950773,
-        -0.0076224613,
-        0.00943887047,
-        1.00167406,
-        2.83297682,
-    ):
-        pt = coeff + pt * wt
-    guess = np.where(central, pc, pt) * x
-    for _ in range(_ERFINV_NEWTON_ROUNDS):
-        e = erf_array(guess)
-        # Where float64 erf saturates to ±1 while |y| < 1 (|x| ≳ 5.86),
-        # the residual no longer carries information and Newton would
-        # walk off; the polynomial guess stands there.
-        live = np.abs(e) < 1.0
-        if not live.any():
-            break
-        g = guess[live]
-        guess[live] = g - (e[live] - x[live]) * _SQRT_PI_OVER_2 * np.exp(g * g)
-    out[inner] = guess
-    return out
-
-
-def erfinv_array(y: np.ndarray) -> np.ndarray:
-    """Elementwise ``erfinv`` (SciPy ufunc when available, else Newton).
-
-    The dispatch mirrors :func:`repro.core.degree_distribution.erf_array`:
-    environments without SciPy fall back to :func:`erfinv_newton`, which
-    the sampler tests pin against the SciPy path where available.
-    """
-    if _erfinv_ufunc is not None:
-        return np.asarray(_erfinv_ufunc(y), dtype=np.float64)
-    return erfinv_newton(y)
-
 
 def truncated_normal_ppf(u: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Inverse CDF of ``R_σ``: ``r = σ√2·erfinv(u·erf(1/(σ√2)))``.
@@ -210,8 +115,8 @@ def truncated_normal_ppf(u: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     todo = np.flatnonzero((flat_sigma > 0.0) & ~uniform)
     if todo.size:
         sig = flat_sigma[todo]
-        total = erf_array(1.0 / (sig * _SQRT2))
-        r = sig * _SQRT2 * erfinv_array(flat_u[todo] * total)
+        total = erf(1.0 / (sig * _SQRT2))
+        r = sig * _SQRT2 * erfinv(flat_u[todo] * total)
         flat_out[todo] = np.clip(r, 0.0, 1.0)
     return flat_out.reshape(u.shape)
 

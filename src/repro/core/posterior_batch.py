@@ -31,8 +31,9 @@ for bit, and the whole matrix to the per-vertex loop of
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erf
 
-from repro.core.degree_distribution import AUTO_EXACT_LIMIT, _SQRT2, erf_array
+from repro.core.degree_distribution import AUTO_EXACT_LIMIT, _SQRT2
 from repro.graphs.traversal import multi_range
 from repro.obs.metrics import REGISTRY as _OBS
 
@@ -168,7 +169,7 @@ def normal_approx_pmf_batch(
         sigma = np.sqrt(variances[rows])[:, None]
         ell = lengths[rows]
         grid = np.arange(width + 1, dtype=np.float64) - 0.5
-        cdf = 0.5 * (1.0 + erf_array((grid[None, :] - mu) / (sigma * _SQRT2)))
+        cdf = 0.5 * (1.0 + erf((grid[None, :] - mu) / (sigma * _SQRT2)))
         cdf[:, 0] = 0.0  # close the left tail into bin 0
         # Close the right tail into bin ℓ when that bin survives truncation.
         closable = np.flatnonzero(ell + 1 <= width)

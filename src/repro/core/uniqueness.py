@@ -68,7 +68,11 @@ def degree_commonness_from_histogram(
     # Pairwise |ω - ω'| kernel against the histogram: O(D²) with D = max degree.
     diff = omegas[:, None] - omegas[None, :]
     kernel = gaussian_kernel(diff, theta)
-    return kernel @ hist
+    # Not ``kernel @ hist``: a BLAS product splits its sums over threads,
+    # so the commonness (and every release built on it) would follow the
+    # thread count.  NumPy's row sums do not.
+    kernel *= hist
+    return kernel.sum(axis=1)
 
 
 def degree_commonness(degrees: np.ndarray, theta: float) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 The measurement backbone behind every engine:
 
-* :mod:`repro.obs.trace` — a context-manager/decorator span tracer
+* :mod:`repro.obs.trace` — a context-manager span tracer
   (wall clock, CPU time, peak-RSS delta, nesting) with JSONL emission;
   near-zero overhead while disabled.
 * :mod:`repro.obs.metrics` — an always-on process-wide registry of
-  counters/gauges/histograms fed by the hot paths (posterior kernel
+  counters/histograms fed by the hot paths (posterior kernel
   mix, dispatch decisions, candidate churn, chunk sizes, HyperANF
   iterations, fold coverage).
 * :mod:`repro.obs.manifest` — JSON run manifests (config, seeds, git
@@ -49,7 +49,6 @@ from repro.obs.trace import (
     disable_tracing,
     enable_tracing,
     span,
-    traced,
     tracing_enabled,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "setup_logging",
     "span",
     "summarise_run",
-    "traced",
     "tracing_enabled",
     "validate_manifest",
     "verbosity_level",

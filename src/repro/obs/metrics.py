@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 The registry is the single accounting surface for the quantities the
 engines used to lose or hand-plumb through return values: posterior
@@ -16,7 +16,7 @@ Design constraints, in priority order:
   touch no RNG stream and reorder no floating-point operation, so a
   traced run is bit-identical to an untraced one.
 * **Thread-safe** — the serving layer mutates instruments from
-  concurrent request handlers, so every mutation (``add``, ``set``,
+  concurrent request handlers, so every mutation (``add``,
   ``observe``, in-place ``reset``) holds a per-instrument lock and the
   registry guards its name table with its own lock.  The fast path is
   an *uncontended* ``lock.acquire`` — a single C-level atomic in
@@ -56,7 +56,6 @@ from bisect import bisect_left
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
@@ -109,36 +108,6 @@ class Counter:
 
     def _merge(self, dump: dict) -> None:
         self.add(dump["value"])
-
-
-class Gauge:
-    """A last-write-wins scalar (e.g. a configured chunk size)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def _reset(self) -> None:
-        with self._lock:
-            self.value = 0.0
-
-    def _snapshot(self):
-        return self.value
-
-    def _dump(self) -> dict:
-        return {"kind": "gauge", "value": self.value}
-
-    def _merge(self, dump: dict) -> None:
-        # Last-write-wins semantics: a worker's gauge value stands in
-        # for the set() call the serial path would have made.
-        self.set(dump["value"])
 
 
 class Histogram:
@@ -308,7 +277,7 @@ class Histogram:
 class MetricsRegistry:
     """Name → instrument registry with in-place reset.
 
-    ``counter``/``gauge``/``histogram`` memoise by name, so repeated
+    ``counter``/``histogram`` memoise by name, so repeated
     calls return the same handle; asking for a name already registered
     as a different kind (or a histogram with different buckets) raises.
     The name table is guarded by a registry lock; instrument mutation
@@ -316,7 +285,7 @@ class MetricsRegistry:
     """
 
     def __init__(self):
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Histogram] = {}
         self._lock = threading.Lock()
 
     def _get(self, name: str, cls, *args):
@@ -333,9 +302,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str, buckets=None) -> Histogram:
         instrument = self._get(
@@ -387,18 +353,15 @@ class MetricsRegistry:
     def merge(self, dump: dict) -> None:
         """Fold a :meth:`dump` from another registry into this one.
 
-        Counters add, gauges take the dumped value (last-write-wins),
-        histograms fold count/total/min/max and — when bucket layouts
-        agree — bucket counts.  Instruments unknown here are created,
-        so a worker that touched a metric the parent never did still
-        surfaces it in the merged snapshot.
+        Counters add; histograms fold count/total/min/max and — when
+        bucket layouts agree — bucket counts.  Instruments unknown here
+        are created, so a worker that touched a metric the parent never
+        did still surfaces it in the merged snapshot.
         """
         for name, data in dump.items():
             kind = data["kind"]
             if kind == "counter":
                 self.counter(name)._merge(data)
-            elif kind == "gauge":
-                self.gauge(name)._merge(data)
             else:
                 try:
                     instrument = self.histogram(name, buckets=data["bounds"])

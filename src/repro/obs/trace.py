@@ -30,7 +30,6 @@ and untraced runs are bit-identical in their outputs (pinned by
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 
@@ -44,7 +43,6 @@ __all__ = [
     "drop_inherited_tracer",
     "enable_tracing",
     "span",
-    "traced",
     "tracing_enabled",
 ]
 
@@ -251,24 +249,6 @@ def span(name: str, **attrs):
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, attrs)
-
-
-def traced(name: str | None = None):
-    """Decorator form of :func:`span` (span name defaults to the function's)."""
-
-    def decorate(func):
-        label = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            if _ACTIVE is None:
-                return func(*args, **kwargs)
-            with _ACTIVE.span(label, {}):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def enable_tracing(path=None) -> Tracer:

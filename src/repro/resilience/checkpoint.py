@@ -144,7 +144,9 @@ class CheckpointStore:
         if blob_name is not None:
             blob_path = self.arrays_dir / blob_name
             try:
-                with np.load(blob_path) as npz:
+                # Our own handle: np.load(path) leaks the file it opened
+                # when a torn zip makes its constructor raise.
+                with open(blob_path, "rb") as fh, np.load(fh) as npz:
                     arrays = {k: npz[k] for k in npz.files}
             except (FileNotFoundError, ValueError, OSError, zipfile.BadZipFile):
                 # The ledger committed but the blob did not (or is

@@ -115,11 +115,6 @@ class FaultPlan:
     rules: tuple = ()
     _fired: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.rules = tuple(
-            r if isinstance(r, FaultRule) else FaultRule(**r) for r in self.rules
-        )
-
     # -- firing --------------------------------------------------------
     def fire(self, site: str, *, key=None, index=None, attempt: int = 0):
         """The matching rule that fires here, or ``None``."""

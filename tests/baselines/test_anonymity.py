@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.baselines.anonymity import (
     _entropy_from_grouped,
@@ -28,8 +29,6 @@ class TestBinomialPmf:
             assert binomial_pmf(n, p).sum() == pytest.approx(1.0)
 
     def test_against_scipy(self):
-        stats = pytest.importorskip("scipy").stats
-
         for n, p in [(7, 0.4), (30, 0.1)]:
             ours = binomial_pmf(n, p)
             theirs = stats.binom.pmf(np.arange(n + 1), n, p)

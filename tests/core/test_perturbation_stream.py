@@ -1,10 +1,14 @@
-"""Inverse-CDF sampler + counter-based pair substreams (PR 5 tentpole).
+"""Inverse-CDF sampler + counter-based pair substreams.
 
-Covers the three sampler layers the ``pair_keyed`` perturbation stream
-stands on:
+Covers the sampler layers the ``pair_keyed`` perturbation stream stands
+on, and the one ``erf``/``erfinv`` beneath them:
 
-* ``erfinv`` — the pure-NumPy Newton path pinned against SciPy where
-  available and against a bisection oracle on ``math.erf`` otherwise;
+* SciPy is a hard dependency — ``scipy.special`` supplies the only
+  ``erf`` and ``erfinv``, so an install without it fails at import
+  instead of publishing a different release from the same seed;
+* ``erf``/``erfinv`` — the functions the CLT posterior and the sampler
+  call, pinned against ``math.erf``, a bisection oracle and SciPy's own
+  truncated normal;
 * ``truncated_normal_ppf`` — moment/KS pinning against the analytic
   ``R_σ`` quantities and the σ → 0 / σ → ∞ edge regimes;
 * ``pair_stream_uniforms`` — purity: a pair's draw depends only on
@@ -15,23 +19,25 @@ stands on:
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
+from scipy import stats as scipy_stats
 
-from repro.core.degree_distribution import (
-    ERF_RATIONAL_MAX_ABS_ERROR,
-    erf_rational,
-)
+from repro.core import degree_distribution, perturbation
+from repro.core.degree_distribution import normal_approx_pmf
 from repro.core.perturbation import (
     PAIR_SUBSTREAM_PERTURBATION,
     PAIR_SUBSTREAM_WHITE_MASK,
     PAIR_SUBSTREAM_WHITE_VALUE,
     UNIFORM_THRESHOLD,
-    erfinv_array,
-    erfinv_newton,
     pair_stream_uniforms,
     perturbations_from_uniforms,
     truncated_normal_cdf,
@@ -39,10 +45,10 @@ from repro.core.perturbation import (
     truncated_normal_ppf,
 )
 
-try:  # pin against SciPy where available (the CI image ships NumPy only)
-    from scipy import special as scipy_special
-except ImportError:  # pragma: no cover
-    scipy_special = None
+_SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Absolute accuracy of SciPy's ``erf``/``erfinv`` (machine precision).
+_ERF_TOL = 1e-12
 
 
 def _erfinv_bisection(y: float) -> float:
@@ -59,70 +65,116 @@ def _erfinv_bisection(y: float) -> float:
 
 
 class TestErfRational:
+    """The ``erf`` the CLT degree posterior calls.
+
+    The class is named for the A&S 7.1.26 rational that stood in for
+    it on installs without SciPy; its pins now hold SciPy's ``erf``, the
+    only one :mod:`repro.core.degree_distribution` has.
+    """
+
     def test_within_documented_bound_of_math_erf(self):
         xs = np.linspace(-8.0, 8.0, 20001)
         exact = np.array([math.erf(x) for x in xs])
-        assert np.abs(erf_rational(xs) - exact).max() <= ERF_RATIONAL_MAX_ABS_ERROR
+        assert np.abs(degree_distribution.erf(xs) - exact).max() <= _ERF_TOL
 
-    @pytest.mark.skipif(scipy_special is None, reason="scipy not installed")
     def test_within_documented_bound_of_scipy(self):
-        xs = np.linspace(-6.0, 6.0, 50001)
-        err = np.abs(erf_rational(xs) - scipy_special.erf(xs))
-        assert err.max() <= ERF_RATIONAL_MAX_ABS_ERROR
+        """The CLT PMF is SciPy's continuity-corrected normal, bit for bit."""
+        probs = np.random.default_rng(3).random(60)
+        mu = float(probs.sum())
+        sigma = math.sqrt(float((probs * (1.0 - probs)).sum()))
+        edges = (np.arange(62, dtype=np.float64) - 0.5 - mu) / (sigma * math.sqrt(2.0))
+        cdf = 0.5 * (1.0 + scipy_special.erf(edges))
+        cdf[0], cdf[-1] = 0.0, 1.0
+        np.testing.assert_array_equal(normal_approx_pmf(probs), np.diff(cdf))
 
     def test_limits_and_nan(self):
-        out = erf_rational(np.array([np.inf, -np.inf, np.nan]))
+        out = degree_distribution.erf(np.array([np.inf, -np.inf, np.nan]))
         assert out[0] == 1.0 and out[1] == -1.0 and np.isnan(out[2])
 
     def test_odd_symmetry(self):
         xs = np.linspace(0.0, 5.0, 101)
-        np.testing.assert_array_equal(erf_rational(-xs), -erf_rational(xs))
-
-
-#: Without SciPy, every erf evaluation (Newton residuals included) goes
-#: through the A&S rational fallback, so absolute accuracy is bounded
-#: by its ≤1.5e-7 error instead of machine epsilon.
-_ERF_TOL = 1e-12 if scipy_special is not None else 4.0 * ERF_RATIONAL_MAX_ABS_ERROR
+        np.testing.assert_array_equal(
+            degree_distribution.erf(-xs), -degree_distribution.erf(xs)
+        )
+        # An odd erf mirrors the CLT PMF under p → 1 - p.
+        probs = np.random.default_rng(5).random(50)
+        np.testing.assert_allclose(
+            normal_approx_pmf(1.0 - probs), normal_approx_pmf(probs)[::-1],
+            rtol=0, atol=_ERF_TOL,
+        )
 
 
 class TestErfinv:
+    """The ``erfinv`` the inverse-CDF sampler calls.
+
+    The ``newton``/``dispatcher`` names come from the NumPy Newton
+    fallback and the SciPy-or-Newton dispatch that stood here; the pins
+    now hold SciPy's ``erfinv``, the only one
+    :mod:`repro.core.perturbation` has, and the sampler built on it.
+    """
+
     def test_newton_matches_bisection_oracle(self):
         ys = np.array([0.0, 1e-8, 0.1, 0.5, 0.9, 0.99, 0.9999, -0.73])
-        ours = erfinv_newton(ys)
+        ours = perturbation.erfinv(ys)
         for y, x in zip(ys, ours):
             oracle = _erfinv_bisection(float(y))
-            # An erf error of ε displaces the inverse by ε/erf'(x); with
-            # the no-SciPy rational fallback ε is its 1.5e-7 bound.
-            tol = max(5e-8, 2.0 * _ERF_TOL * math.exp(oracle * oracle))
-            assert x == pytest.approx(oracle, abs=tol)
+            # An erf error of ε displaces the inverse by ε/erf'(x).
+            assert x == pytest.approx(oracle, abs=_ERF_TOL * math.exp(oracle * oracle))
 
-    @pytest.mark.skipif(scipy_special is None, reason="scipy not installed")
     def test_newton_within_1e12_of_scipy(self):
-        """The documented Newton tolerance on the |y| ≤ 1 - 1e-4 band."""
-        ys = np.linspace(-(1.0 - 1e-4), 1.0 - 1e-4, 40001)
-        err = np.abs(erfinv_newton(ys) - scipy_special.erfinv(ys))
-        assert err.max() <= 1e-12
+        """The sampler matches SciPy's own truncated normal R_σ⁻¹."""
+        u = np.random.default_rng(0).random(5000)
+        for sigma in (0.05, 0.35, 1.0, 4.0, 7.9):
+            ours = truncated_normal_ppf(u, np.full(u.shape, sigma))
+            theirs = scipy_stats.truncnorm.ppf(u, 0.0, 1.0 / sigma, scale=sigma)
+            assert np.abs(ours - theirs).max() <= 1e-12
 
-    @pytest.mark.skipif(scipy_special is None, reason="scipy not installed")
     def test_dispatcher_uses_scipy(self):
-        ys = np.linspace(-0.99, 0.99, 101)
-        np.testing.assert_array_equal(erfinv_array(ys), scipy_special.erfinv(ys))
+        assert perturbation.erfinv is scipy_special.erfinv
+        u = np.linspace(0.0, 0.99, 101)
+        sigmas = np.linspace(0.01, 7.9, 101)
+        scale = sigmas * math.sqrt(2.0)
+        expected = np.clip(
+            scale * scipy_special.erfinv(u * scipy_special.erf(1.0 / scale)), 0.0, 1.0
+        )
+        np.testing.assert_array_equal(truncated_normal_ppf(u, sigmas), expected)
 
     def test_roundtrip_through_erf(self):
-        """erf(erfinv(y)) = y to a few ulps wherever erf is unsaturated
-        (to the rational fallback's bound when SciPy is absent)."""
+        """erf(erfinv(y)) = y to a few ulps wherever erf is unsaturated."""
         ys = np.linspace(-0.999999999, 0.999999999, 10001)
-        xs = erfinv_newton(ys)
+        xs = perturbation.erfinv(ys)
         back = np.array([math.erf(x) for x in xs])
-        assert np.abs(back - ys).max() < max(1e-13, _ERF_TOL)
+        assert np.abs(back - ys).max() < 1e-13
 
     def test_boundary_and_out_of_range(self):
-        out = erfinv_newton(np.array([1.0, -1.0, 1.5, -2.0]))
+        out = perturbation.erfinv(np.array([1.0, -1.0, 1.5, -2.0]))
         assert out[0] == np.inf and out[1] == -np.inf
         assert np.isnan(out[2]) and np.isnan(out[3])
 
     def test_zero_maps_to_zero(self):
-        assert abs(erfinv_newton(np.array([0.0]))[0]) <= _ERF_TOL
+        assert perturbation.erfinv(np.array([0.0]))[0] == 0.0
+        sigmas = np.array([0.0, 0.05, 1.0, UNIFORM_THRESHOLD])
+        assert (truncated_normal_ppf(np.zeros(4), sigmas) == 0.0).all()
+
+
+class TestScipyIsRequired:
+    def test_import_fails_without_scipy(self):
+        """Blocking ``scipy.special`` makes ``import repro.core`` fail
+        loudly: no fallback may publish another stream from the seed."""
+        code = (
+            "import sys\n"
+            "sys.modules['scipy.special'] = None\n"
+            "import repro.core\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(_SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "scipy" in proc.stderr
 
 
 class TestTruncatedNormalPpf:
@@ -132,8 +184,7 @@ class TestTruncatedNormalPpf:
             u = rng.random(5000)
             r = truncated_normal_ppf(u, np.full(5000, sigma))
             assert (r >= 0).all() and (r <= 1).all()
-            # truncated_normal_cdf uses math.erf; the ppf goes through
-            # erf_array, so without SciPy the gap is the fallback's.
+            # truncated_normal_cdf uses math.erf, the ppf SciPy's erfinv.
             assert np.abs(truncated_normal_cdf(r, sigma) - u).max() < max(
                 1e-9, 4.0 * _ERF_TOL
             )

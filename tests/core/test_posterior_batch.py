@@ -388,17 +388,6 @@ class TestVectorisedErf:
     def test_normal_approx_matches_math_erf_reference(self):
         import math
 
-        from repro.core.degree_distribution import ERF_RATIONAL_MAX_ABS_ERROR
-
-        try:
-            import scipy  # noqa: F401
-
-            # SciPy's erf is machine-exact; without it erf_array lands
-            # on the A&S 7.1.26 rational fallback with its documented
-            # ≤1.5e-7 absolute error (one per CDF edge of the diff).
-            tol = ATOL
-        except ImportError:  # pragma: no cover - CI ships NumPy only
-            tol = 2.0 * ERF_RATIONAL_MAX_ABS_ERROR
         rng = np.random.default_rng(19)
         probs = rng.random(40)
         pmf = normal_approx_pmf(probs)
@@ -407,7 +396,7 @@ class TestVectorisedErf:
         edges = (np.arange(len(probs) + 2) - 0.5 - mu) / (sigma * math.sqrt(2))
         cdf = np.array([0.5 * (1.0 + math.erf(x)) for x in edges])
         cdf[0], cdf[-1] = 0.0, 1.0
-        np.testing.assert_allclose(pmf, np.diff(cdf), atol=tol, rtol=0)
+        np.testing.assert_allclose(pmf, np.diff(cdf), atol=ATOL, rtol=0)
 
 
 def _csr(n, us, vs, ps):

@@ -1,4 +1,4 @@
-"""Unit contract of the metrics registry (counters, gauges, histograms)."""
+"""Unit contract of the metrics registry (counters and histograms)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.obs.metrics import (
     REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     metrics_snapshot,
@@ -29,14 +28,6 @@ class TestCounter:
         c = Counter("x")
         c.add(3.0)
         assert c.value == 3 and isinstance(c.value, int)
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        g = Gauge("x")
-        g.set(3)
-        g.set(7.5)
-        assert g.value == 7.5
 
 
 class TestHistogram:
@@ -81,17 +72,17 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("a")
         with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("a")
+            reg.histogram("a")
 
     def test_snapshot_is_sorted_and_typed(self):
         reg = MetricsRegistry()
         reg.counter("b.count").add(2)
-        reg.gauge("a.gauge").set(1.5)
+        reg.histogram("a.hist").observe(1.5)
         reg.histogram("c.hist").observe(3)
         snap = reg.snapshot()
-        assert list(snap) == ["a.gauge", "b.count", "c.hist"]
+        assert list(snap) == ["a.hist", "b.count", "c.hist"]
         assert snap["b.count"] == 2
-        assert snap["a.gauge"] == 1.5
+        assert snap["a.hist"]["max"] == 1.5
         assert snap["c.hist"]["count"] == 1
 
     def test_reset_zeroes_in_place(self):

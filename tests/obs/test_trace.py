@@ -12,7 +12,6 @@ from repro.obs.trace import (
     disable_tracing,
     enable_tracing,
     span,
-    traced,
     tracing_enabled,
 )
 
@@ -32,13 +31,6 @@ class TestDisabledPath:
     def test_tracing_disabled_by_default(self):
         assert not tracing_enabled()
         assert current_tracer() is None
-
-    def test_traced_decorator_passes_through(self):
-        @traced()
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
 
 
 class TestEnabledPath:
@@ -107,22 +99,6 @@ class TestEnabledPath:
         children = tree[0]["children"]
         assert [c["name"] for c in children] == ["child_a", "child_b"]
         assert children[0]["children"][0]["name"] == "leaf"
-
-    def test_traced_decorator_records_qualname_span(self):
-        tracer = enable_tracing()
-
-        @traced()
-        def do_thing():
-            return 3
-
-        @traced("custom")
-        def other():
-            return 4
-
-        assert do_thing() == 3 and other() == 4
-        names = [rec["name"] for rec in tracer.finished]
-        assert names[0].endswith("do_thing")
-        assert names[1] == "custom"
 
 
 def test_jsonl_stream(tmp_path):

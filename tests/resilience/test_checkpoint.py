@@ -1,7 +1,9 @@
 """CheckpointStore tests: atomicity, exactness, fingerprint discipline."""
 
+import gc
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,19 @@ class TestCrashModel:
         for blob in store.arrays_dir.glob("*.npz"):
             blob.write_bytes(blob.read_bytes()[:10])
         assert CheckpointStore(tmp_path / "ckpt").restore("cell:a") is None
+
+    def test_torn_blob_leaves_no_file_open(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.begin(FP, resume=False)
+        store.record("cell:a", {"x": 1}, arrays={"v": np.arange(64)})
+        for blob in store.arrays_dir.glob("*.npz"):
+            blob.write_bytes(blob.read_bytes()[:10])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert CheckpointStore(tmp_path / "ckpt").restore("cell:a") is None
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_ledger_is_valid_jsonl_after_every_record(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
